@@ -1,9 +1,11 @@
 #include "common.hpp"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
@@ -398,11 +400,71 @@ bool check_session_response(const std::string& response, std::uint64_t id,
   return !ref.guaranteed || got_ratio <= 1.5 + 1e-9;
 }
 
+// ---- CPU placement --------------------------------------------------------
+
+Placement plan_placement() {
+  Placement placement;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return placement;
+  CpuList usable;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &set)) usable.push_back(cpu);
+  if (usable.size() < 2) return placement;
+  placement.client = {usable.back()};
+  placement.server.assign(usable.begin(), usable.end() - 1);
+  return placement;
+}
+
+bool pin_thread(pid_t tid, const CpuList& cpus) {
+  if (cpus.empty()) return true;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int cpu : cpus) CPU_SET(cpu, &set);
+  return ::sched_setaffinity(tid, sizeof set, &set) == 0;
+}
+
+std::string cpu_text(const CpuList& cpus) {
+  if (cpus.empty()) return "any";
+  std::string text;
+  for (std::size_t i = 0; i < cpus.size();) {
+    std::size_t j = i;
+    while (j + 1 < cpus.size() && cpus[j + 1] == cpus[j] + 1) ++j;
+    if (!text.empty()) text += ',';
+    text += std::to_string(cpus[i]);
+    if (j > i) text += '-' + std::to_string(cpus[j]);
+    i = j + 1;
+  }
+  return text;
+}
+
 // ---- ServerProcess --------------------------------------------------------
 
 ServerProcess::~ServerProcess() { stop(); }
 
-bool ServerProcess::start(const Args& args, std::string* error) {
+bool ServerProcess::pin(const CpuList& cpus) const {
+  if (pid_ <= 0) return false;
+  if (cpus.empty()) return true;
+  const std::string dir = "/proc/" + std::to_string(pid_) + "/task";
+  DIR* tasks = ::opendir(dir.c_str());
+  if (tasks == nullptr) return false;
+  std::vector<pid_t> tids;
+  while (const dirent* entry = ::readdir(tasks))
+    if (entry->d_name[0] != '.')
+      tids.push_back(static_cast<pid_t>(std::atoi(entry->d_name)));
+  ::closedir(tasks);
+  // The main thread runs the event loop; the shards follow.
+  std::sort(tids.begin(), tids.end());
+  std::stable_partition(tids.begin(), tids.end(),
+                        [this](pid_t tid) { return tid == pid_; });
+  bool ok = true;
+  for (std::size_t i = 0; i < tids.size(); ++i)
+    ok = pin_thread(tids[i], {cpus[i % cpus.size()]}) && ok;
+  return ok;
+}
+
+bool ServerProcess::start(const Args& args, const CpuList& cpus,
+                          std::string* error) {
   static int spawn_count = 0;
   const std::string port_file = args.workdir + "/server-" +
                                 std::to_string(::getpid()) + "-" +
@@ -421,6 +483,7 @@ bool ServerProcess::start(const Args& args, std::string* error) {
   if (pid_ == 0) {
     // The server must not outlive a benchmark that is killed.
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    pin_thread(0, cpus);
     const int null_fd = ::open("/dev/null", O_RDONLY);
     const int log_fd =
         ::open(log_file.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -451,7 +514,12 @@ bool ServerProcess::start(const Args& args, std::string* error) {
         port_ = static_cast<std::uint16_t>(
             std::strtoul(text.c_str() + colon + 1, nullptr, 10));
         std::remove(port_file.c_str());
-        if (port_ != 0) return true;
+        if (port_ != 0) {
+          if (pin(cpus)) return true;
+          *error = "could not pin the server's threads";
+          stop();
+          return false;
+        }
       }
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));

@@ -147,6 +147,28 @@ bool check_session_response(const std::string& response, std::uint64_t id,
                             const ChurnScript& script, const SessionOp& op,
                             double* ratio, std::string* error_code);
 
+// ---- CPU placement --------------------------------------------------------
+
+/// A set of CPU numbers; empty means "wherever the scheduler likes".
+using CpuList = std::vector<int>;
+
+/// Where the load generator and the server run. With two or more usable
+/// CPUs, the load generator takes the last one and the server the others;
+/// with one, nothing is pinned.
+struct Placement {
+  CpuList client;
+  CpuList server;
+};
+
+/// The placement over the CPUs this process may use.
+Placement plan_placement();
+
+/// Pins thread `tid` (0: the calling thread) to `cpus`; no-op when empty.
+bool pin_thread(pid_t tid, const CpuList& cpus);
+
+/// "0-2" style text of `cpus` ("any" when empty).
+std::string cpu_text(const CpuList& cpus);
+
 // ---- served child process -------------------------------------------------
 
 /// `msrs_engine_cli serve --tcp=127.0.0.1:0 --shards=2` as a child process.
@@ -157,8 +179,13 @@ class ServerProcess {
   ServerProcess(const ServerProcess&) = delete;
   ServerProcess& operator=(const ServerProcess&) = delete;
 
-  /// Spawns the server and waits until its port file names the port.
-  bool start(const Args& args, std::string* error);
+  /// Spawns the server, waits until its port file names the port, and
+  /// pins its threads to `cpus` (see pin()).
+  bool start(const Args& args, const CpuList& cpus, std::string* error);
+  /// Pins the server's threads in creation order (the event loop, then
+  /// each shard) one to a CPU of `cpus`, wrapping around when there are
+  /// more threads than CPUs; no-op when `cpus` is empty.
+  bool pin(const CpuList& cpus) const;
   std::uint16_t port() const { return port_; }
   /// The child's peak resident set (VmHWM), in MiB; negative if unknown.
   double peak_rss_mb() const;

@@ -12,6 +12,8 @@
 // session_churn passes of the same seed, and a rung that never races on
 // the prefix on those passes' snapshot instances (for `exact`, on the
 // snapshots the end-to-end traffic leaves out).
+#include <sched.h>
+
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
@@ -128,10 +130,23 @@ class Tracer {
         handle_off_(prefix.requests.size()),
         stages_(prefix.requests.size()) {}
 
+  // Client and server share one CPU, as in the end-to-end latency phase.
+  // Threads created later inherit this thread's CPUs, so they are restored.
   bool ping_probe(std::string* error) {
+    const CpuList cpu = plan_placement().client;
+    cpu_set_t before;
+    CPU_ZERO(&before);
+    ::sched_getaffinity(0, sizeof before, &before);
+    pin_thread(0, cpu);
+    const bool ok = ping_on(cpu, error);
+    ::sched_setaffinity(0, sizeof before, &before);
+    return ok;
+  }
+
+  bool ping_on(const CpuList& cpu, std::string* error) {
     ServerProcess server;
     Conn conn;
-    if (!server.start(args_, error) || !conn.connect(server.port(), error))
+    if (!server.start(args_, cpu, error) || !conn.connect(server.port(), error))
       return false;
     std::string response;
     for (int i = 0; i < kPings; ++i) {
