@@ -11,6 +11,23 @@ Instance::Instance(int machines,
   for (const auto& sizes : class_sizes) add_class(sizes);
 }
 
+Instance::Instance(int machines, std::span<const Time> sizes,
+                   std::span<const std::int32_t> class_lengths)
+    : machines_(machines) {
+  size_.reserve(sizes.size());
+  cls_.reserve(sizes.size());
+  members_.reserve(class_lengths.size());
+  load_.reserve(class_lengths.size());
+  max_.reserve(class_lengths.size());
+  for (const std::int32_t length : class_lengths) {
+    const ClassId c = add_class();
+    members_.back().reserve(static_cast<std::size_t>(length));
+    for (const Time p : sizes.first(static_cast<std::size_t>(length)))
+      add_job(c, p);
+    sizes = sizes.subspan(static_cast<std::size_t>(length));
+  }
+}
+
 void Instance::set_machines(int machines) { machines_ = machines; }
 
 ClassId Instance::add_class() {

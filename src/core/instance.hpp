@@ -22,6 +22,12 @@ class Instance {
   /// Convenience: build from per-class job size lists.
   Instance(int machines, const std::vector<std::vector<Time>>& class_sizes);
 
+  /// Builds from a flat listing, every buffer sized once: class c holds
+  /// the next `class_lengths[c]` entries of `sizes`, and JobIds follow
+  /// `sizes` (core/instance_io.hpp's FlatInstance).
+  Instance(int machines, std::span<const Time> sizes,
+           std::span<const std::int32_t> class_lengths);
+
   /// \name Builder
   /// @{
 

@@ -40,6 +40,24 @@ constexpr Time floor_div(Time a, Time b) noexcept {
   return a / b;
 }
 
+/// \name Input limits
+/// Enforced by every input parser (instance text, generator specs), so the
+/// arithmetic below never meets an instance it cannot represent.
+/// @{
+
+/// Most jobs in one instance (JobId is 32-bit).
+inline constexpr std::int64_t kMaxJobs = std::numeric_limits<JobId>::max();
+/// Most machines: per-machine arrays of every rung stay at tens of MB.
+inline constexpr std::int64_t kMaxMachines = std::int64_t{1} << 22;
+/// Largest job size.
+inline constexpr Time kMaxJobSize = Time{1} << 40;
+/// Largest total load p(J): every makespan and bound up to it is an exact
+/// JSON double, and the ladder's scaled products (loads times schedule
+/// scales <= 3, comparisons times a second scale, small constant factors)
+/// stay below 2^62.
+inline constexpr Time kMaxTotalLoad = Time{1} << 53;
+/// @}
+
 /// a * b with a debug-mode overflow assertion; instance sizes and scales
 /// are small enough that release builds never overflow (documented limits:
 /// total scaled load < 2^62).

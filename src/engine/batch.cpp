@@ -1,6 +1,7 @@
 #include "engine/batch.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -34,51 +35,99 @@ PortfolioResult remap_result(const CanonicalForm& src_form,
   return out;
 }
 
-CanonicalForm canonical_form(const Instance& instance) {
-  CanonicalForm form;
-  form.machines = instance.machines();
+std::vector<std::int32_t> rank_shape(int machines, std::span<const Time> sizes,
+                                     std::span<const std::int32_t> lengths,
+                                     CanonicalShape* shape) {
+  const std::size_t count = lengths.size();
+  std::vector<std::size_t> begin(count + 1, 0);
+  for (std::size_t c = 0; c < count; ++c)
+    begin[c + 1] = begin[c] + static_cast<std::size_t>(lengths[c]);
+  const auto segment = [&](std::int32_t c) {
+    const auto at = static_cast<std::size_t>(c);
+    return sizes.subspan(begin[at], begin[at + 1] - begin[at]);
+  };
 
-  const int num_classes = instance.num_classes();
-  std::vector<std::vector<JobId>> class_order(
-      static_cast<std::size_t>(num_classes));
-  form.classes.resize(static_cast<std::size_t>(num_classes));
-  for (ClassId c = 0; c < num_classes; ++c) {
-    auto& jobs = class_order[static_cast<std::size_t>(c)];
-    jobs = instance.class_jobs(c);
-    std::sort(jobs.begin(), jobs.end(), [&](JobId a, JobId b) {
+  std::vector<std::int32_t> rank(count);
+  std::iota(rank.begin(), rank.end(), 0);
+  std::sort(rank.begin(), rank.end(), [&](std::int32_t a, std::int32_t b) {
+    // Heavier shapes first: lexicographically larger size vectors, a
+    // proper prefix being the lighter one; equal shapes keep entry order.
+    const std::span<const Time> sa = segment(a);
+    const std::span<const Time> sb = segment(b);
+    const std::size_t common = std::min(sa.size(), sb.size());
+    for (std::size_t i = 0; i < common; ++i)
+      if (sa[i] != sb[i]) return sa[i] > sb[i];
+    if (sa.size() != sb.size()) return sa.size() > sb.size();
+    return a < b;
+  });
+
+  shape->machines = machines;
+  shape->sizes.clear();
+  shape->sizes.reserve(sizes.size());
+  shape->classes.clear();
+  shape->classes.reserve(count);
+  std::uint64_t h = fold(0x6d737273ULL /* "msrs" */,
+                         static_cast<std::uint64_t>(machines));
+  for (const std::int32_t c : rank) {
+    h = fold(h, 0xC1A55EEDULL);  // class separator
+    for (const Time p : segment(c)) {
+      h = fold(h, static_cast<std::uint64_t>(p));
+      shape->sizes.push_back(p);
+    }
+    shape->classes.push_back(lengths[static_cast<std::size_t>(c)]);
+  }
+  shape->key = h;
+  return rank;
+}
+
+CanonicalShape canonical_shape(const FlatInstance& flat) {
+  std::vector<Time> sorted = flat.sizes;
+  auto first = sorted.begin();
+  for (const std::int32_t length : flat.classes) {
+    std::sort(first, first + length, std::greater<>());
+    first += length;
+  }
+  CanonicalShape shape;
+  rank_shape(flat.machines, sorted, flat.classes, &shape);
+  return shape;
+}
+
+CanonicalForm canonical_form(const Instance& instance) {
+  // Each class's jobs by (size desc, id asc), class after class: the
+  // within-class canonical order. Class c spans by_size[begin[c],
+  // begin[c + 1]).
+  const auto n = static_cast<std::size_t>(instance.num_jobs());
+  const auto num_classes = static_cast<std::size_t>(instance.num_classes());
+  std::vector<JobId> by_size;
+  by_size.reserve(n);
+  std::vector<std::int32_t> lengths;
+  lengths.reserve(num_classes);
+  std::vector<std::ptrdiff_t> begin;
+  begin.reserve(num_classes + 1);
+  for (ClassId c = 0; c < instance.num_classes(); ++c) {
+    const auto& jobs = instance.class_jobs(c);
+    begin.push_back(static_cast<std::ptrdiff_t>(by_size.size()));
+    const auto first = by_size.insert(by_size.end(), jobs.begin(), jobs.end());
+    std::sort(first, by_size.end(), [&](JobId a, JobId b) {
       if (instance.size(a) != instance.size(b))
         return instance.size(a) > instance.size(b);
       return a < b;
     });
-    auto& sizes = form.classes[static_cast<std::size_t>(c)];
-    sizes.reserve(jobs.size());
-    for (JobId j : jobs) sizes.push_back(instance.size(j));
+    lengths.push_back(static_cast<std::int32_t>(jobs.size()));
   }
+  begin.push_back(static_cast<std::ptrdiff_t>(by_size.size()));
+  std::vector<Time> sizes;
+  sizes.reserve(n);
+  for (const JobId j : by_size) sizes.push_back(instance.size(j));
 
-  std::vector<int> by_shape(static_cast<std::size_t>(num_classes));
-  std::iota(by_shape.begin(), by_shape.end(), 0);
-  std::sort(by_shape.begin(), by_shape.end(), [&](int a, int b) {
-    const auto& sa = form.classes[static_cast<std::size_t>(a)];
-    const auto& sb = form.classes[static_cast<std::size_t>(b)];
-    if (sa != sb) return sa > sb;  // heavier shapes first
-    return a < b;
-  });
-
-  std::vector<std::vector<Time>> sorted_classes;
-  sorted_classes.reserve(form.classes.size());
-  form.order.reserve(static_cast<std::size_t>(instance.num_jobs()));
-  std::uint64_t h = fold(0x6d737273ULL /* "msrs" */,
-                         static_cast<std::uint64_t>(form.machines));
-  for (int c : by_shape) {
-    auto& sizes = form.classes[static_cast<std::size_t>(c)];
-    h = fold(h, 0xC1A55EEDULL);  // class separator
-    for (Time p : sizes) h = fold(h, static_cast<std::uint64_t>(p));
-    for (JobId j : class_order[static_cast<std::size_t>(c)])
-      form.order.push_back(j);
-    sorted_classes.push_back(std::move(sizes));
+  CanonicalForm form;
+  form.order.reserve(n);
+  for (const std::int32_t c :
+       rank_shape(instance.machines(), sizes, lengths, &form)) {
+    const auto at = static_cast<std::size_t>(c);
+    form.order.insert(form.order.end(), by_size.begin() + begin[at],
+                      by_size.begin() + begin[at + 1]);
   }
-  form.classes = std::move(sorted_classes);
-  form.key = h;
   return form;
 }
 

@@ -2,11 +2,12 @@
 /// BatchEngine: the throughput layer — shards an instance stream across the
 /// thread pool and serves repeated instances from a canonical-form cache.
 ///
-/// Canonical form: (m, classes as sorted size vectors, classes sorted). Two
-/// instances with the same canonical form are identical up to renaming jobs
-/// and classes, so a solved schedule transfers by the canonical bijection
-/// (same canonical position -> same size and class structure). Cached
-/// results are remapped through that bijection, never re-solved.
+/// Canonical form: (m, classes as sorted size vectors, classes sorted),
+/// stored flat (CanonicalShape). Two instances with the same canonical form
+/// are identical up to renaming jobs and classes, so a solved schedule
+/// transfers by the canonical bijection (same canonical position -> same
+/// size and class structure). Cached results are remapped through that
+/// bijection, never re-solved.
 ///
 /// Determinism: a batch is deduplicated by canonical key up front; one
 /// representative per key (the first occurrence, or a prior cache entry) is
@@ -23,27 +24,52 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/instance_io.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/registry.hpp"
 #include "util/lru.hpp"
 
 namespace msrs::engine {
 
-/// Canonical form of an instance plus the job bijection realizing it.
-struct CanonicalForm {
-  int machines = 0;  ///< machine count (part of the shape)
-  std::vector<std::vector<Time>> classes;  ///< per-class sizes desc, sorted
-  std::vector<JobId> order;  ///< job ids in canonical position order
-  std::uint64_t key = 0;     ///< hash of (machines, classes)
+/// The canonical shape of an instance: its machine count and its job
+/// sizes up to renaming jobs and classes, stored flat. Each class's sizes
+/// run descending; classes are ranked heavier size vector first
+/// (lexicographically larger), ties in entry order.
+struct CanonicalShape {
+  int machines = 0;                   ///< machine count (part of the shape)
+  std::vector<Time> sizes;            ///< sizes, class after class, ranked
+  std::vector<std::int32_t> classes;  ///< job count of each ranked class
+  std::uint64_t key = 0;              ///< hash of (machines, ranked classes)
 
-  /// True when the shapes (machines + class size vectors) coincide.
-  bool same_shape(const CanonicalForm& other) const {
-    return machines == other.machines && classes == other.classes;
+  /// True when the shapes (machines + ranked classes) coincide.
+  bool same_shape(const CanonicalShape& other) const {
+    return key == other.key && machines == other.machines &&
+           classes == other.classes && sizes == other.sizes;
   }
 };
+
+/// Canonical form of an instance: its shape plus the job bijection
+/// realizing it.
+struct CanonicalForm : CanonicalShape {
+  std::vector<JobId> order;  ///< job ids in canonical position order
+};
+
+/// Ranks and hashes a shape: the one step behind every canonical key.
+/// `sizes` lists the classes one after another in any order, class c
+/// holding `lengths[c]` sizes sorted descending. Fills `*shape` with the
+/// ranked classes and their key, and returns the entry position of each
+/// ranked class.
+std::vector<std::int32_t> rank_shape(int machines, std::span<const Time> sizes,
+                                     std::span<const std::int32_t> lengths,
+                                     CanonicalShape* shape);
+
+/// The canonical shape of a flat instance listing (O(n log n), no Instance
+/// built): the serving layer's admission key.
+CanonicalShape canonical_shape(const FlatInstance& flat);
 
 /// Computes the canonical form of an instance (O(n log n)).
 CanonicalForm canonical_form(const Instance& instance);
@@ -56,28 +82,30 @@ PortfolioResult remap_result(const CanonicalForm& src_form,
                              const PortfolioResult& src_result,
                              const CanonicalForm& dst_form);
 
-/// Hashes a canonical-form cache key: the precomputed shape hash.
-struct CanonicalFormHash {
-  /// The form's `key` field, truncated to size_t.
-  std::size_t operator()(const CanonicalForm& form) const {
-    return static_cast<std::size_t>(form.key);
+/// Hashes a canonical-shape cache key: the precomputed shape hash.
+struct CanonicalShapeHash {
+  /// The shape's `key` field, truncated to size_t.
+  std::size_t operator()(const CanonicalShape& shape) const {
+    return static_cast<std::size_t>(shape.key);
   }
 };
 
-/// Canonical-form cache-key equivalence: shape equality. The per-instance
-/// job bijection (`order`) is deliberately ignored — it is payload carried
-/// by the resident key for remapping, not identity.
-struct CanonicalFormShapeEq {
-  /// True when machines and class size vectors coincide.
-  bool operator()(const CanonicalForm& a, const CanonicalForm& b) const {
+/// Canonical-shape cache-key equivalence. A CanonicalForm key compares by
+/// its shape alone: the per-instance job bijection (`order`) is payload
+/// carried by the resident key for remapping, not identity.
+struct CanonicalShapeEq {
+  /// True when the shapes coincide.
+  bool operator()(const CanonicalShape& a, const CanonicalShape& b) const {
     return a.same_shape(b);
   }
 };
 
-/// Bounded LRU from canonical shape to the representative's solved result.
-/// Shared by BatchEngine and the serving layer's per-shard caches.
-using ResultCache = LruCache<CanonicalForm, PortfolioResult,
-                             CanonicalFormHash, CanonicalFormShapeEq>;
+/// Bounded LRU from canonical shape to the representative's solved result
+/// (keys are full forms: a hit remaps through the resident `order`).
+/// Shared by BatchEngine and the session memo.
+using ResultCache =
+    LruCache<CanonicalForm, PortfolioResult, CanonicalShapeHash,
+             CanonicalShapeEq>;
 
 /// Options of a BatchEngine.
 struct BatchOptions {

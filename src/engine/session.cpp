@@ -2,23 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
-
-#include "util/rng.hpp"
 
 namespace msrs::engine {
-namespace {
-
-// Hash fold of the canonical-form key. Must mix exactly like the fold in
-// batch.cpp's canonical_form(): the differential harness asserts the
-// incrementally maintained form (including `key`) equals a from-scratch
-// canonical_form() after every mutation.
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  std::uint64_t s = h ^ (v + 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
-}  // namespace
 
 const char* snapshot_source_name(SnapshotSource source) {
   switch (source) {
@@ -115,61 +100,41 @@ void SessionEngine::refresh() {
   // class, compact JobId order coincides with session id order, and the
   // cached (size desc, session id asc) orders transfer verbatim to the
   // canonical (size desc, JobId asc) orders canonical_form() computes.
+  // Alongside, list the cached orders' sizes for rank_shape: compact class
+  // order is creation order, so its entry-order tie-break is
+  // canonical_form()'s class-id tie-break.
   snapshot_.instance = Instance();
   snapshot_.instance.set_machines(machines_);
   snapshot_.jobs.clear();
-  std::vector<int> compact_cls;  // class index -> position among non-empty
-  compact_cls.assign(classes_.size(), -1);
   std::unordered_map<std::uint64_t, JobId> compact_of;
   compact_of.reserve(alive_);
+  std::vector<std::size_t> live;  // indices into classes_, creation order
+  std::vector<Time> sizes;        // live classes' cached orders, flat
+  sizes.reserve(alive_);
+  std::vector<std::int32_t> lengths;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     const ClassRec& cls = classes_[c];
     if (cls.alive.empty()) continue;
-    compact_cls[c] = static_cast<int>(snapshot_.instance.add_class());
+    live.push_back(c);
+    const ClassId compact = snapshot_.instance.add_class();
     for (const std::uint64_t job : cls.alive) {
       const JobId id = snapshot_.instance.add_job(
-          compact_cls[c], jobs_[static_cast<std::size_t>(job)].size);
+          compact, jobs_[static_cast<std::size_t>(job)].size);
       compact_of.emplace(job, id);
       snapshot_.jobs.push_back(job);
     }
+    for (const std::uint64_t job : cls.by_size)
+      sizes.push_back(jobs_[static_cast<std::size_t>(job)].size);
+    lengths.push_back(static_cast<std::int32_t>(cls.by_size.size()));
   }
 
-  // Assemble the canonical form from the per-class cached orders. Class
-  // ranking and the tie-break (heavier shapes first, then lower class id)
-  // mirror canonical_form(): compact class ids preserve creation order, so
-  // a stable index tie-break reproduces its `by_shape` order.
   CanonicalForm& form = snapshot_.form;
-  form.machines = machines_;
-  form.classes.clear();
   form.order.clear();
-  std::vector<std::size_t> live;  // indices into classes_, creation order
-  for (std::size_t c = 0; c < classes_.size(); ++c)
-    if (!classes_[c].alive.empty()) live.push_back(c);
-  std::vector<std::size_t> rank(live.size());
-  std::iota(rank.begin(), rank.end(), std::size_t{0});
-  std::vector<std::vector<Time>> sizes(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const ClassRec& cls = classes_[live[i]];
-    sizes[i].reserve(cls.by_size.size());
-    for (const std::uint64_t job : cls.by_size)
-      sizes[i].push_back(jobs_[static_cast<std::size_t>(job)].size);
-  }
-  std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
-    if (sizes[a] != sizes[b]) return sizes[a] > sizes[b];
-    return a < b;
-  });
   form.order.reserve(alive_);
-  form.classes.reserve(live.size());
-  std::uint64_t h = fold(0x6d737273ULL /* "msrs" */,
-                         static_cast<std::uint64_t>(form.machines));
-  for (const std::size_t i : rank) {
-    h = fold(h, 0xC1A55EEDULL);  // class separator
-    for (const Time p : sizes[i]) h = fold(h, static_cast<std::uint64_t>(p));
-    for (const std::uint64_t job : classes_[live[i]].by_size)
+  for (const std::int32_t i : rank_shape(machines_, sizes, lengths, &form))
+    for (const std::uint64_t job :
+         classes_[live[static_cast<std::size_t>(i)]].by_size)
       form.order.push_back(compact_of.at(job));
-    form.classes.push_back(std::move(sizes[i]));
-  }
-  form.key = h;
 
   // Produce the portfolio-equivalent result: trivial when empty, remapped
   // from the session memo when the shape was solved before, full re-solve

@@ -718,8 +718,8 @@ std::vector<BenchRow> e12_generator(const Runner& runner) {
 // Steady-state serving path: a running sharded Service (serve/service.hpp),
 // repeated-corpus traffic submitted as raw JSONL lines, responses counted
 // via the per-request callbacks. One measured op = one full pass over the
-// request list (parse -> canonical form -> shard queue -> cache remap ->
-// response bytes). The `steady` rows are prewarmed (every request a cache
+// request list (parse -> flat instance -> canonical shape -> shard queue ->
+// cached response tail -> response bytes). The `steady` rows are prewarmed (every request a cache
 // hit — the serving regime the acceptance gate cares about); `cold` builds
 // a fresh service per op, measuring the dispatch + first-solve path.
 std::vector<BenchRow> e13_serve(const Runner& runner) {

@@ -430,20 +430,20 @@ void Service::submit(const std::string& line, Done done) {
                     &item.trace);
       return;
     }
-    item.instance = generate(*spec);
+    item.flat = flatten(generate(*spec));
   } else {
     std::string error;
-    auto parsed = from_text(request->instance, &error);
+    auto parsed = parse_flat(request->instance, &error);
     if (!parsed) {
       respond_error(item.done, item.id, WireError::kBadInstance, error,
                     &item.trace);
       return;
     }
-    item.instance = std::move(*parsed);
+    item.flat = std::move(*parsed);
   }
-  item.form = engine::canonical_form(item.instance);
+  item.shape = engine::canonical_shape(item.flat);
   Shard& shard =
-      *shards_[static_cast<std::size_t>(item.form.key % shards_.size())];
+      *shards_[static_cast<std::size_t>(item.shape.key % shards_.size())];
 
   {
     util::MutexLock lock(pending_mutex_);
@@ -528,24 +528,26 @@ void Service::process(Shard& shard, Item& item) {
     engine::PortfolioOptions per_request = shard.portfolio->options();
     per_request.budget_ms = item.budget_ms;
     engine::PortfolioResult result =
-        engine::PortfolioSolver(*registry_, per_request).solve(item.instance);
+        engine::PortfolioSolver(*registry_, per_request)
+            .solve(item.flat.build());
     solver = result.solver;
     cache_state = "bypass";
     cache_value = 2;
     response = solve_response(item.id, result);
     shard.solved.fetch_add(1);
-  } else if (const TailCache::Entry* entry = shard.cache.find(item.form)) {
+  } else if (const TailCache::Entry* entry = shard.cache.find(item.shape)) {
     response = compose_response(item.id, entry->second.tail);
     solver = entry->second.solver;
     cache_state = "hit";
     cache_value = 1;
   } else {
-    engine::PortfolioResult result = shard.portfolio->solve(item.instance);
+    engine::PortfolioResult result =
+        shard.portfolio->solve(item.flat.build());
     std::string tail = solve_response_tail(result);
     response = compose_response(item.id, tail);
     solver = result.solver;
     cache_state = "miss";
-    shard.cache.insert(std::move(item.form),
+    shard.cache.insert(std::move(item.shape),
                        CachedResult{std::move(tail), std::move(result.solver)});
     shard.solved.fetch_add(1);
   }

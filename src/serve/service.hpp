@@ -4,15 +4,18 @@
 /// Request lifecycle (see docs/architecture.md, "serving layer"):
 ///
 ///   transport line ──> submit(): parse (wire.hpp) ──> non-solve ops are
-///   answered inline; solve ops materialize the Instance (spec/instance
-///   payload), compute its canonical form (engine/batch.hpp) and are
+///   answered inline; solve ops parse their instance text in one pass to a
+///   flat listing (core/instance_io.hpp; a spec is generated, then
+///   flattened), compute its canonical shape (engine/batch.hpp) and are
 ///   admitted into the target shard's bounded queue — blocking
 ///   (backpressure) or failing with the named `overloaded` error,
 ///   per ServiceOptions. Shard = canonical hash % shards, so isomorphic
 ///   instances always colocate: each shard owns a PortfolioSolver and a
-///   bounded LRU result cache (util/lru.hpp) that serves repeats by
-///   canonical remapping, without cross-shard locks. Shard workers run on
-///   a parallel/thread_pool and answer through the per-request callback.
+///   bounded LRU cache (util/lru.hpp) from shape to rendered response
+///   tail, without cross-shard locks. A hit is one string concatenation;
+///   only a miss (or a `budget_ms` bypass) builds the Instance and races
+///   the portfolio. Shard workers run on a parallel/thread_pool and answer
+///   through the per-request callback.
 ///
 /// Session ops (open_session/submit_job/cancel_job/snapshot/close_session)
 /// route by the hash of the session *name* instead: every mutation of one
@@ -41,6 +44,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/instance_io.hpp"
 #include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "engine/session.hpp"
@@ -101,7 +105,7 @@ struct ServiceStats {
   std::size_t rejected = 0;   ///< admissions refused (`overloaded`)
   std::size_t errors = 0;     ///< error responses (rejections included)
   std::size_t solved = 0;     ///< portfolio races actually run
-  std::size_t cache_hits = 0;       ///< repeats served by remapping
+  std::size_t cache_hits = 0;       ///< repeats served from the cache
   std::size_t cache_misses = 0;     ///< solve requests that missed
   std::size_t cache_evictions = 0;  ///< LRU entries dropped (capacity)
   std::size_t cache_entries = 0;    ///< resident entries, all shards
@@ -197,8 +201,10 @@ class Service {
   struct Item {
     Op op = Op::kSolve;
     Json id;
-    Instance instance;
-    engine::CanonicalForm form;
+    // A solve carries its instance flat and its canonical shape (the cache
+    // key); the Instance is built on the shard, only to solve.
+    FlatInstance flat;
+    engine::CanonicalShape shape;
     int budget_ms = 0;  // 0 = service default (cacheable)
     Done done;
     obs::TraceContext trace;  // lifecycle stamps (admission -> write)
@@ -223,8 +229,8 @@ class Service {
   /// concatenation, no remapping or re-rendering; BatchEngine keeps the
   /// full-schedule variant via remap_result for batch consumers).
   using TailCache =
-      LruCache<engine::CanonicalForm, CachedResult, engine::CanonicalFormHash,
-               engine::CanonicalFormShapeEq>;
+      LruCache<engine::CanonicalShape, CachedResult,
+               engine::CanonicalShapeHash, engine::CanonicalShapeEq>;
 
   /// One shard: admission queue, solver, bounded result cache, counters,
   /// and the sessions it owns (shared-nothing: a session's name hash picks

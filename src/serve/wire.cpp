@@ -53,7 +53,7 @@ std::optional<Request> parse_request(const std::string& line, WireError* code,
   };
 
   std::string parse_error;
-  const std::optional<Json> document = json_parse(line, &parse_error);
+  std::optional<Json> document = json_parse(line, &parse_error);
   if (!document) return fail(WireError::kParseError, parse_error);
   if (!document->is_object())
     return fail(WireError::kBadRequest, "request is not a JSON object");
@@ -99,10 +99,10 @@ std::optional<Request> parse_request(const std::string& line, WireError* code,
       return fail(WireError::kBadRequest, "'spec' must be a string");
     request.spec = spec->as_string();
   }
-  if (const Json* instance = document->find("instance")) {
+  if (Json* instance = document->find("instance")) {
     if (!instance->is_string())
       return fail(WireError::kBadRequest, "'instance' must be a string");
-    request.instance = instance->as_string();
+    request.instance = instance->take_string();  // the bulk of the line
   }
   if (request.op == Op::kSolve &&
       (request.spec.empty() == request.instance.empty()))

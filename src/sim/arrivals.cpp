@@ -40,12 +40,10 @@ std::string render_double(double v) {
 }
 
 // Parser-enforced caps: traces are materialized in memory and replayed
-// event-by-event, so the event count stays modest; sizes obey the same
-// 2^40 ceiling as the batch generator (sim/spec.cpp).
+// event-by-event, so the event count stays modest; machines and sizes obey
+// the shared input limits of core/types.hpp.
 constexpr std::int64_t kMaxEvents = 1 << 24;    // ~16.7M events
 constexpr std::int64_t kMaxClasses = 1 << 20;
-constexpr std::int64_t kMaxMachines = 1 << 22;
-constexpr std::int64_t kMaxSize = 1LL << 40;
 
 std::uint64_t double_bits(double v) {
   std::uint64_t bits = 0;
@@ -121,9 +119,9 @@ std::optional<ChurnSpec> parse_churn(std::string_view text,
                     std::string(value) + "'");
       spec.machines = static_cast<int>(number);
     } else if (key == "max") {
-      if (!parse_int(value, &number) || number < 1 || number > kMaxSize)
+      if (!parse_int(value, &number) || number < 1 || number > kMaxJobSize)
         return fail("max must be an integer in [1, " +
-                    std::to_string(kMaxSize) + "], got '" +
+                    std::to_string(kMaxJobSize) + "], got '" +
                     std::string(value) + "'");
       spec.max_size = number;
     } else if (key == "cancel") {

@@ -89,14 +89,6 @@ std::optional<Dist> parse_dist(std::string_view text, std::string* error) {
   return dist;
 }
 
-// Parser-enforced sizing caps. Jobs/machines must fit the int-based
-// Instance model; max_size is capped so scaled loads (size * machines *
-// small schedule scales) stay well under the documented 2^62 limit of
-// core/types.hpp.
-constexpr std::int64_t kMaxJobs = std::numeric_limits<std::int32_t>::max();
-constexpr std::int64_t kMaxMachines = 1 << 22;       // ~4.2M machines
-constexpr std::int64_t kMaxSize = 1LL << 40;         // ~1.1e12 time units
-
 std::string known_families() {
   std::string out;
   for (const Family family : kAllFamilies) {
@@ -252,9 +244,9 @@ std::optional<GeneratorSpec> parse_spec(std::string_view text,
                     std::string(value) + "'");
       spec.machines = static_cast<int>(number);
     } else if (key == "max") {
-      if (!parse_int(value, &number) || number < 1 || number > kMaxSize)
+      if (!parse_int(value, &number) || number < 1 || number > kMaxJobSize)
         return fail("max must be an integer in [1, " +
-                    std::to_string(kMaxSize) + "], got '" +
+                    std::to_string(kMaxJobSize) + "], got '" +
                     std::string(value) + "'");
       spec.max_size = number;
     } else if (key == "seed") {
@@ -337,7 +329,7 @@ std::optional<SweepSpec> parse_sweep(std::string_view text,
     } else if (key == "n" || key == "m" || key == "max") {
       const std::int64_t cap = key == "n"    ? kMaxJobs
                                : key == "m"  ? kMaxMachines
-                                             : kMaxSize;
+                                             : kMaxJobSize;
       std::vector<std::int64_t> numbers;
       for (const std::string_view item : items) {
         std::int64_t number = 0;

@@ -1,9 +1,11 @@
 #include "util/json.hpp"
 
 #include <charconv>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace msrs {
 namespace {
@@ -34,25 +36,32 @@ std::string format_number(double v) {
   return std::string(buf, end);
 }
 
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void write_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (!needs_escape(c)) continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
 }
 
@@ -89,6 +98,10 @@ const Json* Json::find(const std::string& key) const {
   for (const auto& [k, v] : members_)
     if (k == key) return &v;
   return nullptr;
+}
+
+Json* Json::find(const std::string& key) {
+  return const_cast<Json*>(std::as_const(*this).find(key));
 }
 
 void Json::write(std::string& out, int indent, int depth) const {
@@ -204,6 +217,14 @@ class Parser {
     return false;
   }
 
+  // End of the run of plain string bytes starting at `from`: the next
+  // quote or backslash, or the end of the text.
+  std::size_t plain_run_end(std::size_t from) const {
+    while (from < text_.size() && text_[from] != '"' && text_[from] != '\\')
+      ++from;
+    return std::min(from, text_.size());
+  }
+
   bool literal(const char* word) {
     const std::size_t len = std::strlen(word);
     if (text_.compare(pos_, len, word) == 0) {
@@ -268,7 +289,20 @@ class Parser {
       return std::nullopt;
     }
     std::string out;
+    // Plain runs go in as one append each. When escapes follow, size the
+    // buffer once from the raw span up to the closing quote (decoding
+    // never lengthens a string).
+    std::size_t stop = plain_run_end(pos_);
+    if (stop < text_.size() && text_[stop] == '\\') {
+      std::size_t close = stop;
+      while (close < text_.size() && text_[close] == '\\')
+        close = plain_run_end(close + 2);
+      out.reserve(close - pos_);
+    }
     while (pos_ < text_.size()) {
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ == text_.size()) break;
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c == '\\') {
@@ -326,9 +360,8 @@ class Parser {
             fail(std::string("unknown escape '\\") + esc + "'");
             return std::nullopt;
         }
-      } else {
-        out += c;
       }
+      stop = plain_run_end(pos_);
     }
     fail("unterminated string");
     return std::nullopt;

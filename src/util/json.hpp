@@ -62,6 +62,9 @@ class Json {
   double as_number() const { return number_; }
   /// String payload (valid iff is_string()).
   const std::string& as_string() const { return string_; }
+  /// Moves the string payload out (valid iff is_string(); leaves it
+  /// empty), so a parsed document hands over large strings without a copy.
+  std::string take_string() { return std::move(string_); }
   /// Array elements (valid iff is_array()).
   const std::vector<Json>& items() const { return items_; }
   /// Object members in insertion order (valid iff is_object()).
@@ -75,6 +78,8 @@ class Json {
   void set(std::string key, Json value);
   /// Pointer to the member value, or nullptr when absent / not an object.
   const Json* find(const std::string& key) const;
+  /// Mutable variant of find().
+  Json* find(const std::string& key);
 
   /// Serializes deterministically; `indent` > 0 pretty-prints.
   std::string str(int indent = 0) const;

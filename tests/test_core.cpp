@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/instance.hpp"
 #include "core/instance_io.hpp"
 #include "core/lower_bounds.hpp"
@@ -185,10 +187,20 @@ TEST(InstanceIo, RejectsGarbage) {
       from_text("msrs 1\nmachines 1\nclasses 1\nclass 1 0\n").has_value());
 }
 
+// `jobs` jobs of size 2^40 in one class on 2 machines: a total load of
+// jobs * 2^40 (2^53 at 8192 jobs).
+std::string max_size_jobs(int jobs) {
+  std::ostringstream text;
+  text << "msrs 1\nmachines 2\nclasses 1\nclass " << jobs;
+  for (int i = 0; i < jobs; ++i) text << ' ' << kMaxJobSize;
+  text << '\n';
+  return text.str();
+}
+
 // The parser must say *what* is malformed, not just refuse.
 TEST(InstanceIo, DescriptiveErrorsForMalformedFiles) {
   const struct {
-    const char* text;
+    std::string text;
     const char* expect;  // substring of the reported error
   } cases[] = {
       {"", "empty input"},
@@ -207,13 +219,63 @@ TEST(InstanceIo, DescriptiveErrorsForMalformedFiles) {
       {"msrs 1\nmachines 2\nclasses 1\nclass 2 5 -4\n", "job size -4 < 1"},
       {"msrs 1\nmachines 2\nclasses 1\nclass 1 5\nclass 1 3\n",
        "trailing garbage"},
+      // Input limits (core/types.hpp): each a named refusal, never an
+      // allocation the size of the claim or a signed overflow.
+      {"msrs 1\nmachines 2147483647\nclasses 1\nclass 1 5\n",
+       "machine count 2147483647 exceeds the supported maximum of 4194304"},
+      {"msrs 1\nmachines 4194305\nclasses 0\n",
+       "exceeds the supported maximum of 4194304"},
+      {"msrs 1\nmachines 2\nclasses 1\n"
+       "class 2 9223372036854775807 9223372036854775807\n",
+       "job size 9223372036854775807 exceeds the supported maximum of "
+       "1099511627776"},
+      {"msrs 1\nmachines 2\nclasses 1\nclass 1 1099511627777\n",
+       "class 0: job size 1099511627777 exceeds the supported maximum"},
+      {max_size_jobs(8193),
+       "total load exceeds the supported maximum of 9007199254740992"},
   };
   for (const auto& bad : cases) {
     std::string error;
     EXPECT_FALSE(from_text(bad.text, &error).has_value()) << bad.text;
     EXPECT_NE(error.find(bad.expect), std::string::npos)
-        << "input <" << bad.text << "> produced error <" << error
-        << ">, expected it to mention <" << bad.expect << ">";
+        << "input <" << bad.text.substr(0, 120) << "> produced error <"
+        << error << ">, expected it to mention <" << bad.expect << ">";
+  }
+}
+
+TEST(InstanceIo, AcceptsInputsAtTheLimits) {
+  std::string error;
+  const auto machines = from_text(
+      "msrs 1\nmachines 4194304\nclasses 1\nclass 1 1099511627776\n", &error);
+  ASSERT_TRUE(machines.has_value()) << error;
+  EXPECT_EQ(machines->machines(), kMaxMachines);
+  EXPECT_EQ(machines->max_size(), kMaxJobSize);
+  const auto load = from_text(max_size_jobs(8192), &error);
+  ASSERT_TRUE(load.has_value()) << error;
+  EXPECT_EQ(load->total_load(), kMaxTotalLoad);
+}
+
+TEST(InstanceIo, FlatListingRebuildsEveryGeneratedInstanceExactly) {
+  // The serving layer admits a spec request as flatten(generate(spec)) and
+  // builds its Instance back from that listing: job ids, sizes and classes
+  // must all survive, or the solve (and its response bytes) could change.
+  for (const Family family : kAllFamilies) {
+    const Instance original = generate(family, 60, 4, 5);
+    const FlatInstance flat = flatten(original);
+    const Instance rebuilt = flat.build();
+    ASSERT_EQ(rebuilt.num_jobs(), original.num_jobs()) << family_name(family);
+    EXPECT_EQ(rebuilt.machines(), original.machines());
+    EXPECT_EQ(rebuilt.num_classes(), original.num_classes());
+    for (JobId j = 0; j < original.num_jobs(); ++j) {
+      EXPECT_EQ(rebuilt.size(j), original.size(j)) << family_name(family);
+      EXPECT_EQ(rebuilt.job_class(j), original.job_class(j))
+          << family_name(family);
+    }
+    // The text format lists the same thing.
+    const auto parsed = parse_flat(to_text(original));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->sizes, flat.sizes);
+    EXPECT_EQ(parsed->classes, flat.classes);
   }
 }
 

@@ -230,6 +230,39 @@ TEST(Portfolio, EmptyInstanceIsTriviallyValid) {
   EXPECT_DOUBLE_EQ(result.makespan, 0.0);
 }
 
+TEST(Portfolio, LadderArithmeticStaysBelowTwoToTheSixtyTwoAtTheInputLimits) {
+  // Instances at the input limits of core/types.hpp: a total load of
+  // exactly 2^53 in jobs at the 2^40 size cap, a small one every search
+  // rung accepts, and 2^22 machines. Every applicable rung must return a
+  // valid schedule whose scaled makespan, times the largest schedule scale
+  // the race compares it against (3), stays below the 2^62 headroom that
+  // checked_mul asserts in debug builds.
+  const std::vector<Time> max_class(512, kMaxJobSize);
+  const Instance load_cap(6, std::vector<std::vector<Time>>(16, max_class));
+  ASSERT_EQ(load_cap.total_load(), kMaxTotalLoad);
+  const Instance search(3, {{kMaxJobSize, kMaxJobSize - 1, 7},
+                            {kMaxJobSize, 1},
+                            {kMaxJobSize / 3},
+                            {kMaxJobSize / 2, 5}});
+  const Instance machine_cap(static_cast<int>(kMaxMachines),
+                             {{kMaxJobSize, kMaxJobSize}, {kMaxJobSize}});
+  PortfolioOptions options;
+  options.budget_ms = 500;  // let exact and eptas join on `search`
+  const PortfolioSolver portfolio(SolverRegistry::default_registry(), options);
+  constexpr Time kHeadroom = (Time{1} << 62) / 3;
+  for (const Instance* instance : {&load_cap, &search, &machine_cap}) {
+    for (const Solver* solver : portfolio.candidates(*instance)) {
+      const SolverResult run = solver->solve(*instance);
+      ASSERT_TRUE(run.ok) << solver->name() << ": " << run.error;
+      EXPECT_TRUE(is_valid(*instance, run.schedule)) << solver->name();
+      EXPECT_LE(run.schedule.scale(), 3) << solver->name();
+      EXPECT_LT(run.schedule.makespan_scaled(*instance), kHeadroom)
+          << solver->name();
+    }
+    EXPECT_TRUE(portfolio.solve(*instance).valid) << instance->summary();
+  }
+}
+
 // --- canonical form ----------------------------------------------------------
 
 TEST(CanonicalForm, InvariantUnderClassAndJobPermutation) {

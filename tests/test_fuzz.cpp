@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <future>
 #include <map>
+#include <numeric>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "algo/baselines.hpp"
@@ -19,6 +22,7 @@
 #include "core/instance_io.hpp"
 #include "core/lower_bounds.hpp"
 #include "core/validate.hpp"
+#include "engine/batch.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/service.hpp"
 #include "serve/tcp.hpp"
@@ -168,6 +172,419 @@ TEST(IoFuzz, TruncatedValidInstancesAreRejected) {
       // it must still be well-formed.
       EXPECT_TRUE(parsed->check().empty());
     }
+  }
+}
+
+// ---------------- instance-parser differential ----------------
+
+// The format's first parser: istream extraction, one token at a time. It
+// is kept here as the differential oracle of core/instance_io's
+// single-pass parser, with the input limits of core/types.hpp added where
+// the single-pass parser checks them (marked "limit"), so both must agree
+// byte for byte on every error.
+namespace oracle {
+
+// Parses one instance. Returns 1 on success, 0 on clean EOF before the
+// header (end of a corpus), -1 on malformed input (*error describes it).
+// Consumes nothing past the instance's own tokens, so concatenated
+// instances parse by repeated calls.
+int read_one(std::istream& in, Instance* out, std::string* error) {
+  auto fail = [&](const std::string& message) {
+    if (error) *error = message;
+    return -1;
+  };
+  // Echoes the offending token back in the error, so a typo in a keyword is
+  // distinguishable from a truncated file.
+  auto expect_key = [&](const char* wanted, std::string* got) {
+    *got = {};
+    if (!(in >> *got)) return false;
+    return *got == wanted;
+  };
+
+  std::string token;
+  if (!expect_key("msrs", &token)) {
+    if (token.empty()) return 0;  // clean EOF: no (further) instance
+    return fail("bad header: expected 'msrs', got '" + token + "'");
+  }
+  long long version = 0;
+  if (!(in >> version) || version != 1)
+    return fail("unsupported format version (expected 1)");
+
+  long long machines = 0;
+  if (!expect_key("machines", &token))
+    return fail(token.empty()
+                    ? "missing 'machines <m>' line"
+                    : "expected 'machines', got '" + token + "'");
+  if (!(in >> machines)) return fail("machine count is not a number");
+  if (machines < 1)
+    return fail("machine count must be >= 1, got " + std::to_string(machines));
+  if (machines > kMaxMachines)  // limit
+    return fail("machine count " + std::to_string(machines) +
+                " exceeds the supported maximum of " +
+                std::to_string(kMaxMachines));
+
+  long long num_classes = 0;
+  if (!expect_key("classes", &token))
+    return fail(token.empty() ? "missing 'classes <k>' line"
+                              : "expected 'classes', got '" + token + "'");
+  if (!(in >> num_classes) || num_classes < 0)
+    return fail("class count must be a number >= 0");
+
+  Instance instance;
+  instance.set_machines(static_cast<int>(machines));
+  for (long long c = 0; c < num_classes; ++c) {
+    if (!expect_key("class", &token))
+      return fail("class " + std::to_string(c) +
+                  (token.empty() ? ": missing 'class' line (file declares " +
+                                       std::to_string(num_classes) +
+                                       " classes)"
+                                 : ": expected 'class', got '" + token + "'"));
+    long long count = 0;
+    if (!(in >> count)) return fail("class " + std::to_string(c) +
+                                    ": job count is not a number");
+    if (count < 1)
+      return fail("class " + std::to_string(c) +
+                  (count == 0 ? " is empty (every class needs >= 1 job)"
+                              : ": job count must be >= 1, got " +
+                                    std::to_string(count)));
+    const ClassId cls = instance.add_class();
+    for (long long i = 0; i < count; ++i) {
+      Time p = 0;
+      if (!(in >> p))
+        return fail("class " + std::to_string(c) + ": job " +
+                    std::to_string(i) + " of " + std::to_string(count) +
+                    " is missing or not a number");
+      if (p < 1)
+        return fail("class " + std::to_string(c) + ": job size " +
+                    std::to_string(p) + " < 1");
+      if (p > kMaxJobSize)  // limit
+        return fail("class " + std::to_string(c) + ": job size " +
+                    std::to_string(p) + " exceeds the supported maximum of " +
+                    std::to_string(kMaxJobSize));
+      instance.add_job(cls, p);
+      if (instance.total_load() > kMaxTotalLoad)  // limit
+        return fail("class " + std::to_string(c) +
+                    ": total load exceeds the supported maximum of " +
+                    std::to_string(kMaxTotalLoad));
+    }
+  }
+  const std::string problem = instance.check();
+  if (!problem.empty()) return fail(problem);
+  *out = std::move(instance);
+  return 1;
+}
+
+std::optional<Instance> from_text(const std::string& text,
+                                  std::string* error) {
+  std::istringstream in(text);
+  auto fail = [&](const std::string& message) -> std::optional<Instance> {
+    if (error) *error = message;
+    return std::nullopt;
+  };
+  Instance instance;
+  const int status = read_one(in, &instance, error);
+  if (status == 0) return fail("empty input: missing 'msrs 1' header");
+  if (status < 0) return std::nullopt;
+  std::string token;
+  if (in >> token)
+    return fail("trailing garbage after " +
+                std::to_string(instance.num_classes()) + " classes: '" +
+                token + "'");
+  return instance;
+}
+
+std::optional<std::vector<Instance>> read_corpus(std::istream& in,
+                                                 std::string* error) {
+  std::vector<Instance> corpus;
+  for (;;) {
+    Instance instance;
+    const int status = read_one(in, &instance, error);
+    if (status == 0) return corpus;
+    if (status < 0) {
+      if (error)
+        *error = "corpus instance " + std::to_string(corpus.size()) + ": " +
+                 *error;
+      return std::nullopt;
+    }
+    corpus.push_back(std::move(instance));
+  }
+}
+
+}  // namespace oracle
+
+// Asserts the parser and the oracle agree on `text`: the same accept or
+// reject, the same error string, the same instance (by its rendering).
+// Returns whether the oracle accepted it.
+bool expect_same_parse(const std::string& text) {
+  std::string want_error, got_error;
+  const std::optional<Instance> want = oracle::from_text(text, &want_error);
+  const std::optional<Instance> got = from_text(text, &got_error);
+  EXPECT_EQ(got.has_value(), want.has_value())
+      << "<" << text << ">: " << (want ? got_error : want_error);
+  if (want && got) {
+    EXPECT_EQ(to_text(*got), to_text(*want)) << text;
+  } else if (!want && !got) {
+    EXPECT_EQ(got_error, want_error) << text;
+  }
+  return want.has_value();
+}
+
+// Byte ranges of the numbers in an instance text (every token but the
+// keywords).
+std::vector<std::pair<std::size_t, std::size_t>> number_spans(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  for (std::size_t i = 0; i < text.size();) {
+    if (std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (i < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[i])) != 0)
+      ++i;
+    spans.emplace_back(begin, i);
+  }
+  return spans;
+}
+
+// One random mutation of the kinds the stream grammar has to agree on:
+// odd whitespace, signs, leading zeros, 20-digit numbers, trailing garbage.
+std::string mutate(std::string text, Rng& rng) {
+  const auto pick = [&rng](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(size) - 1));
+  };
+  const auto spans = number_spans(text);
+  switch (rng.uniform(0, 5)) {
+    case 0: {  // every separator becomes a random run of whitespace
+      static const std::string kSpace = " \t\n\r\v\f";
+      std::string out;
+      for (const char c : text) {
+        if (c != ' ' && c != '\n') {
+          out += c;
+          continue;
+        }
+        const auto run = rng.uniform(1, 3);
+        for (std::int64_t k = 0; k < run; ++k) out += kSpace[pick(6)];
+      }
+      return out;
+    }
+    case 1: {  // a sign (or a broken one) in front of a number
+      static const char* kSigns[] = {"+", "-", "+-", "-+", "++", "--"};
+      const auto [begin, end] = spans[pick(spans.size())];
+      (void)end;
+      return text.insert(begin, kSigns[pick(6)]);
+    }
+    case 2: {  // leading zeros, up to a 25-digit token
+      const auto [begin, end] = spans[pick(spans.size())];
+      (void)end;
+      return text.insert(begin, static_cast<std::size_t>(rng.uniform(1, 24)),
+                         '0');
+    }
+    case 3: {  // a 20-digit number: always past the int64 range
+      const auto [begin, end] = spans[pick(spans.size())];
+      std::string digits(1, static_cast<char>('1' + pick(9)));
+      while (digits.size() < 20) digits += static_cast<char>('0' + pick(10));
+      return text.replace(begin, end - begin, digits);
+    }
+    case 4: {  // trailing garbage, glued on or separated
+      static const char* kTails[] = {"x", " x", "\n7", " msrs", "\tclass 1 5",
+                                     " 12abc", "-", " +"};
+      return text + kTails[pick(8)];
+    }
+    default: {  // a byte glued onto a number or keyword
+      static const std::string kGlue = "x.e,;0-+";
+      return text.insert(pick(text.size() + 1), 1, kGlue[pick(kGlue.size())]);
+    }
+  }
+}
+
+std::vector<std::string> parser_corpus() {
+  std::vector<std::string> texts;
+  std::uint64_t seed = 1;
+  for (const Family family : kAllFamilies)
+    texts.push_back(to_text(generate(family, 14, 3, seed++)));
+  texts.push_back("msrs 1\nmachines 3\nclasses 0\n");
+  return texts;
+}
+
+TEST(ParserDifferential, EveryTruncationPointAgreesWithTheOracle) {
+  for (const std::string& text : parser_corpus())
+    for (std::size_t cut = 0; cut <= text.size(); ++cut)
+      expect_same_parse(text.substr(0, cut));
+}
+
+TEST(ParserDifferential, MutatedTextsAgreeWithTheOracle) {
+  Rng rng(20261016);
+  int accepted = 0, rejected = 0;
+  for (const std::string& text : parser_corpus()) {
+    expect_same_parse(text);
+    for (int round = 0; round < 300; ++round) {
+      std::string mutant = text;
+      const auto mutations = rng.uniform(1, 3);
+      for (std::int64_t k = 0; k < mutations; ++k) mutant = mutate(mutant, rng);
+      ++(expect_same_parse(mutant) ? accepted : rejected);
+    }
+  }
+  // Both sides of the grammar get exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(ParserDifferential, ConcatenatedCorporaAgreeWithTheOracle) {
+  Rng rng(1618);
+  const std::vector<std::string> texts = parser_corpus();
+  for (int round = 0; round < 200; ++round) {
+    std::string corpus;
+    const auto count = rng.uniform(0, 4);
+    for (std::int64_t k = 0; k < count; ++k) {
+      std::string text = texts[static_cast<std::size_t>(rng.uniform(
+          0, static_cast<std::int64_t>(texts.size()) - 1))];
+      if (rng.uniform(0, 3) == 0) text = mutate(text, rng);
+      corpus += text;
+    }
+    if (rng.uniform(0, 4) == 0)
+      corpus = corpus.substr(0, static_cast<std::size_t>(rng.uniform(
+                                    0, static_cast<std::int64_t>(
+                                           corpus.size()))));
+    std::string want_error, got_error;
+    std::istringstream want_in(corpus), got_in(corpus);
+    const auto want = oracle::read_corpus(want_in, &want_error);
+    const auto got = read_corpus(got_in, &got_error);
+    ASSERT_EQ(got.has_value(), want.has_value()) << corpus;
+    if (!want) {
+      EXPECT_EQ(got_error, want_error) << corpus;
+      continue;
+    }
+    ASSERT_EQ(got->size(), want->size()) << corpus;
+    for (std::size_t i = 0; i < want->size(); ++i)
+      EXPECT_EQ(to_text((*got)[i]), to_text((*want)[i])) << corpus;
+  }
+}
+
+// ---------------- flat canonical shape ----------------
+
+// The first canonical form, kept as the oracle of the flat one: classes as
+// nested size vectors sorted descending, ranked heavier vector first (ties
+// by class id), hashed in that order.
+struct NestedForm {
+  std::vector<std::vector<Time>> classes;
+  std::vector<JobId> order;
+  std::uint64_t key = 0;
+};
+
+NestedForm nested_form(const Instance& instance) {
+  const auto fold = [](std::uint64_t h, std::uint64_t v) {
+    std::uint64_t s = h ^ (v + 0x9e3779b97f4a7c15ULL);
+    return splitmix64(s);
+  };
+  const auto count = static_cast<std::size_t>(instance.num_classes());
+  std::vector<std::vector<JobId>> jobs(count);
+  std::vector<std::vector<Time>> sizes(count);
+  for (ClassId c = 0; c < instance.num_classes(); ++c) {
+    auto& members = jobs[static_cast<std::size_t>(c)];
+    members = instance.class_jobs(c);
+    std::sort(members.begin(), members.end(), [&](JobId a, JobId b) {
+      if (instance.size(a) != instance.size(b))
+        return instance.size(a) > instance.size(b);
+      return a < b;
+    });
+    for (const JobId j : members)
+      sizes[static_cast<std::size_t>(c)].push_back(instance.size(j));
+  }
+  std::vector<std::size_t> by_shape(count);
+  std::iota(by_shape.begin(), by_shape.end(), std::size_t{0});
+  std::sort(by_shape.begin(), by_shape.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (sizes[a] != sizes[b]) return sizes[a] > sizes[b];
+              return a < b;
+            });
+  NestedForm form;
+  form.key = fold(0x6d737273ULL,
+                  static_cast<std::uint64_t>(instance.machines()));
+  for (const std::size_t c : by_shape) {
+    form.key = fold(form.key, 0xC1A55EEDULL);
+    for (const Time p : sizes[c])
+      form.key = fold(form.key, static_cast<std::uint64_t>(p));
+    form.order.insert(form.order.end(), jobs[c].begin(), jobs[c].end());
+    form.classes.push_back(sizes[c]);
+  }
+  return form;
+}
+
+// An isomorphic copy with classes and the jobs inside each class permuted.
+Instance relabel(const Instance& in, Rng& rng) {
+  std::vector<ClassId> classes(static_cast<std::size_t>(in.num_classes()));
+  std::iota(classes.begin(), classes.end(), 0);
+  rng.shuffle(classes);
+  Instance out;
+  out.set_machines(in.machines());
+  for (const ClassId c : classes) {
+    std::vector<Time> sizes;
+    for (const JobId j : in.class_jobs(c)) sizes.push_back(in.size(j));
+    rng.shuffle(sizes);
+    out.add_class(sizes);
+  }
+  return out;
+}
+
+TEST(ShapeDifferential, FlatShapeMatchesCanonicalFormAndTheNestedOracle) {
+  Rng rng(424242);
+  for (const Family family : kAllFamilies) {
+    for (const int n : {12, 90}) {
+      const Instance base =
+          generate(family, n, 4, static_cast<std::uint64_t>(n));
+      const engine::CanonicalForm base_form = engine::canonical_form(base);
+      for (int variant = 0; variant < 4; ++variant) {
+        const Instance instance = variant == 0 ? base : relabel(base, rng);
+        const engine::CanonicalForm form = engine::canonical_form(instance);
+        const NestedForm nested = nested_form(instance);
+        std::vector<Time> sizes;
+        std::vector<std::int32_t> lengths;
+        for (const auto& cls : nested.classes) {
+          sizes.insert(sizes.end(), cls.begin(), cls.end());
+          lengths.push_back(static_cast<std::int32_t>(cls.size()));
+        }
+        EXPECT_EQ(form.key, nested.key) << family_name(family);
+        EXPECT_EQ(form.sizes, sizes) << family_name(family);
+        EXPECT_EQ(form.classes, lengths) << family_name(family);
+        EXPECT_EQ(form.order, nested.order) << family_name(family);
+
+        // The admission path: text -> flat listing -> shape, no Instance.
+        const std::optional<FlatInstance> flat = parse_flat(to_text(instance));
+        ASSERT_TRUE(flat.has_value());
+        const engine::CanonicalShape shape = engine::canonical_shape(*flat);
+        EXPECT_EQ(shape.machines, form.machines);
+        EXPECT_EQ(shape.key, form.key) << family_name(family);
+        EXPECT_EQ(shape.sizes, form.sizes) << family_name(family);
+        EXPECT_EQ(shape.classes, form.classes) << family_name(family);
+        // Relabelling never changes the shape.
+        EXPECT_TRUE(shape.same_shape(base_form)) << family_name(family);
+      }
+    }
+  }
+}
+
+TEST(ShapeDifferential, GoldenKeysPinShardRouting) {
+  // Keys computed by the nested canonical form this repository started
+  // with: shard routing (key % shards) must never drift.
+  const struct {
+    Family family;
+    int n, m;
+    std::uint64_t seed;
+    std::uint64_t key;
+  } cases[] = {
+      {Family::kUniform, 32, 4, 1, 0xdcf79be7aec31ea0ULL},
+      {Family::kHugeHeavy, 1000, 16, 7, 0xe9d94ab702fbe0ecULL},
+      {Family::kManySmallClasses, 200, 8, 3, 0x936aad4fe7c1a451ULL},
+  };
+  for (const auto& c : cases) {
+    const Instance instance = generate(c.family, c.n, c.m, c.seed);
+    EXPECT_EQ(engine::canonical_form(instance).key, c.key)
+        << family_name(c.family);
+    EXPECT_EQ(engine::canonical_shape(flatten(instance)).key, c.key)
+        << family_name(c.family);
   }
 }
 

@@ -10,12 +10,14 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/instance_io.hpp"
+#include "perf/alloc.hpp"
 #include "serve/serve.hpp"
 #include "serve/socket.hpp"
 #include "sim/workloads.hpp"
@@ -195,6 +197,69 @@ TEST(Service, MalformedLinesGetNamedErrorsAndServiceSurvives) {
   // Still serving after every defect:
   EXPECT_NE(service.handle(R"({"op":"ping"})").find("\"ok\":true"),
             std::string::npos);
+}
+
+TEST(Service, HostileInstancesAreRefusedByNameAndPingStillAnswers) {
+  // Short lines whose claims exceed the input limits (core/types.hpp):
+  // machines that would allocate gigabytes per rung, and sizes whose sums
+  // overflow signed 64-bit loads. Each must be a named bad_instance, and
+  // the service must still answer what comes after.
+  Service service(small_service(2));
+  const char* hostile[] = {
+      R"({"id":1,"op":"solve","instance":"msrs 1\nmachines 2147483647\nclasses 1\nclass 1 5\n"})",
+      R"({"id":2,"op":"solve","instance":"msrs 1\nmachines 2\nclasses 1\nclass 2 9223372036854775807 9223372036854775807\n"})",
+      R"({"id":3,"op":"solve","instance":"msrs 1\nmachines 2\nclasses 2\nclass 1 4611686018427387904\nclass 1 4611686018427387904\n"})",
+  };
+  for (const char* line : hostile) {
+    const std::string response = service.handle(line);
+    EXPECT_NE(response.find("\"error\":\"bad_instance\""), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("exceeds the supported maximum"),
+              std::string::npos)
+        << response;
+  }
+  EXPECT_EQ(service.handle(R"({"id":4,"op":"ping"})"),
+            R"({"id":4,"ok":true,"op":"ping"})");
+  EXPECT_EQ(service.stats().solved, 0u);
+}
+
+// Allocations the calling thread makes to admit one prewarmed (cache-hit)
+// inline solve: the transport thread's share of a hit. The counter is
+// thread-local, so the shard worker's share is not in it.
+std::uint64_t hit_admission_allocs(const Instance& instance) {
+  Service service(small_service(1));
+  Json line = Json::object();
+  line.set("id", std::int64_t{1});
+  line.set("op", "solve");
+  line.set("instance", to_text(instance));
+  const std::string request = line.str();
+  const std::string first = service.handle(request);  // the miss
+  EXPECT_EQ(service.handle(request), first);  // a hit; warms thread state
+  std::promise<std::string> answered;
+  Service::Done done = [&answered](std::string&& response) {
+    answered.set_value(std::move(response));
+  };
+  const std::uint64_t allocs = perf::count_allocs(
+      [&] { service.submit(request, std::move(done)); });
+  EXPECT_EQ(answered.get_future().get(), first);
+  EXPECT_EQ(service.stats().cache_hits, 2u);
+  return allocs;
+}
+
+TEST(Service, HitAdmissionCostDoesNotGrowWithInstanceSize) {
+  if (!perf::alloc_counting_enabled())
+    GTEST_SKIP() << "counting disabled (ASan)";
+  // A hit never builds an Instance: admission parses the text straight to
+  // a flat listing and its canonical shape, a fixed number of buffers
+  // whatever n and the class count are.
+  const Instance small = generate(Family::kUniform, 32, 4, 1);
+  const Instance large = generate(Family::kUniform, 1000, 16, 1);
+  ASSERT_GT(large.num_classes(), 150);
+  const std::uint64_t small_allocs = hit_admission_allocs(small);
+  const std::uint64_t large_allocs = hit_admission_allocs(large);
+  EXPECT_GT(small_allocs, 0u);
+  EXPECT_LT(large_allocs, 2 * small_allocs)
+      << "n=32: " << small_allocs << " allocations, n=1000: " << large_allocs;
 }
 
 TEST(Service, WireVersionMismatchIsNamed) {
