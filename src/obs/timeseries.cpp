@@ -11,7 +11,7 @@ constexpr std::string_view kReceived = "serve.received";
 constexpr std::string_view kResponded = "serve.responded";
 constexpr std::string_view kErrors = "serve.errors";
 constexpr std::string_view kRejected = "serve.rejected";
-constexpr std::string_view kTcpShed = "serve.tcp.shed";
+constexpr std::string_view kConnsShed = "serve.conns.shed";
 constexpr std::string_view kQueuePrefix = "serve.queue_depth.";
 constexpr std::string_view kTotalStage = "serve.latency.total_us";
 
@@ -76,7 +76,7 @@ bool Watchdog::tick(const MetricsSnapshot& snapshot) {
   const std::uint64_t responded = snapshot.counter_or(kResponded);
   const std::uint64_t errors = snapshot.counter_or(kErrors);
   const std::uint64_t sheds =
-      snapshot.counter_or(kRejected) + snapshot.counter_or(kTcpShed);
+      snapshot.counter_or(kRejected) + snapshot.counter_or(kConnsShed);
   for (const auto& [name, value] : snapshot.gauges)
     if (name.size() > kQueuePrefix.size() &&
         std::string_view(name).substr(0, kQueuePrefix.size()) == kQueuePrefix)

@@ -12,7 +12,7 @@
 /// recorder (obs/flight_recorder.hpp), subject to a cooldown so a sustained
 /// anomaly produces one dump, not one per tick.
 ///
-/// The ticking cadence is owned by the caller (the TCP event loop ticks
+/// The ticking cadence is owned by the caller (the serving event loop ticks
 /// Service::monitor_tick(); tests tick directly), so everything here is
 /// clock-free and deterministic given the snapshots.
 #pragma once

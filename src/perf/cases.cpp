@@ -827,7 +827,7 @@ std::vector<BenchRow> e13_serve(const Runner& runner) {
     };
     std::thread server([&service, &tcp_options] {
       std::string error;
-      (void)serve::serve_tcp(service, "127.0.0.1:0", &error, tcp_options);
+      (void)serve::serve_tcp(service, "", "127.0.0.1:0", &error, tcp_options);
     });
     serve::DriveOptions drive_options;
     drive_options.tcp = "127.0.0.1:" + std::to_string(port.get());
@@ -854,8 +854,8 @@ std::vector<BenchRow> e13_serve(const Runner& runner) {
     row.counters.emplace_back("ok", static_cast<double>(ok));
     rows.push_back(std::move(row));
     // End the event loop with the protocol's own shutdown op.
-    serve::TcpClient closer;
-    if (closer.connect(drive_options.tcp, &error)) {
+    serve::LineClient closer;
+    if (closer.connect("", drive_options.tcp, &error)) {
       (void)closer.send_line("{\"op\":\"shutdown\"}");
       std::string line;
       (void)closer.recv_line(&line);

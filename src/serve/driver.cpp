@@ -10,7 +10,6 @@
 
 #include "core/instance_io.hpp"
 #include "obs/metrics.hpp"
-#include "serve/socket.hpp"
 #include "serve/tcp.hpp"
 #include "serve/wire.hpp"
 #include "sim/arrivals.hpp"
@@ -170,9 +169,18 @@ std::optional<Json> fetch_stats(LineClient& client) {
   return json_parse(line);
 }
 
+// One `stats` op over a fresh connection: a connection held open through
+// the run would sit idle and be reaped by the server's --idle-timeout.
+std::optional<Json> fetch_stats(const DriveOptions& options) {
+  const std::unique_ptr<LineClient> client =
+      connect_line_client(options.socket, options.tcp, nullptr);
+  if (!client) return std::nullopt;
+  return fetch_stats(*client);
+}
+
 // Reads `cache_hits`/`cache_misses` out of a `stats` response.
-bool cache_counters(LineClient& client, double* hits, double* misses) {
-  const std::optional<Json> document = fetch_stats(client);
+bool cache_counters(const std::optional<Json>& document, double* hits,
+                    double* misses) {
   if (!document) return false;
   const Json* h = document->find("cache_hits");
   const Json* m = document->find("cache_misses");
@@ -275,10 +283,11 @@ std::optional<DriveReport> drive_churn(const DriveOptions& options,
     return std::nullopt;
   }
 
-  std::unique_ptr<LineClient> control_client =
-      connect_line_client(options.socket, options.tcp, error);
-  if (!control_client) return std::nullopt;
-  if (!handshake(*control_client, error)) return std::nullopt;
+  {
+    const std::unique_ptr<LineClient> control =
+        connect_line_client(options.socket, options.tcp, error);
+    if (!control || !handshake(*control, error)) return std::nullopt;
+  }
 
   const unsigned conns = options.conns == 0 ? 1 : options.conns;
   std::vector<std::unique_ptr<LineClient>> clients;
@@ -451,16 +460,18 @@ std::optional<DriveReport> drive(const DriveOptions& options,
     return std::nullopt;
   }
 
-  // Version handshake on a dedicated connection (also used for the
-  // before/after cache counters).
-  std::unique_ptr<LineClient> control_client =
-      connect_line_client(options.socket, options.tcp, error);
-  if (!control_client) return std::nullopt;
-  LineClient& control = *control_client;
-  if (!handshake(control, error)) return std::nullopt;
+  // Version handshake and the "before" cache counters on a control
+  // connection closed before the run; every later stats fetch opens a
+  // fresh one.
   double hits_before = 0.0, misses_before = 0.0;
-  const bool have_before =
-      cache_counters(control, &hits_before, &misses_before);
+  bool have_before = false;
+  {
+    const std::unique_ptr<LineClient> control =
+        connect_line_client(options.socket, options.tcp, error);
+    if (!control || !handshake(*control, error)) return std::nullopt;
+    have_before =
+        cache_counters(fetch_stats(*control), &hits_before, &misses_before);
+  }
 
   const unsigned conns = options.conns == 0 ? 1 : options.conns;
   std::vector<std::unique_ptr<LineClient>> clients;
@@ -486,9 +497,8 @@ std::optional<DriveReport> drive(const DriveOptions& options,
           : Clock::time_point::max();
   const double interval_s = options.qps > 0.0 ? 1.0 / options.qps : 0.0;
 
-  // Mid-run stats poller: shares the control connection (the workers never
-  // touch it during the measured window), prints to stderr so a piped
-  // --json report stays clean.
+  // Mid-run stats poller: prints to stderr so a piped --json report stays
+  // clean.
   std::atomic<bool> polling{true};
   std::thread poller;
   if (options.stats_interval_s > 0.0) {
@@ -502,8 +512,8 @@ std::optional<DriveReport> drive(const DriveOptions& options,
           continue;
         }
         due += interval;
-        const std::optional<Json> document = fetch_stats(control);
-        if (!document) return;  // control connection died; stop quietly
+        const std::optional<Json> document = fetch_stats(options);
+        if (!document) return;  // service gone; stop quietly
         const double at_s =
             std::chrono::duration<double>(Clock::now() - start).count();
         std::cerr << render_stats_poll(*document, at_s);
@@ -529,6 +539,13 @@ std::optional<DriveReport> drive(const DriveOptions& options,
                               static_cast<double>(i) * interval_s));
           std::this_thread::sleep_until(scheduled);
           reference = scheduled;
+          // The server reaps a connection left idle past its
+          // --idle-timeout: reconnect rather than report a failure.
+          if (client.peer_closed() &&
+              !client.connect(options.socket, options.tcp, nullptr)) {
+            transport_failures.fetch_add(1);
+            break;
+          }
         }
         if (Clock::now() >= deadline) break;
         const std::string line =
@@ -567,7 +584,7 @@ std::optional<DriveReport> drive(const DriveOptions& options,
   if (options.stats_interval_s > 0.0) {
     // Flush the final partial window: a run shorter than the interval
     // would otherwise end with no decomposition rows at all.
-    if (const std::optional<Json> document = fetch_stats(control))
+    if (const std::optional<Json> document = fetch_stats(options))
       std::cerr << render_stats_poll(*document, elapsed_s);
   }
 
@@ -590,7 +607,8 @@ std::optional<DriveReport> drive(const DriveOptions& options,
   }
 
   double hits_after = 0.0, misses_after = 0.0;
-  if (have_before && cache_counters(control, &hits_after, &misses_after)) {
+  if (have_before &&
+      cache_counters(fetch_stats(options), &hits_after, &misses_after)) {
     const double lookups =
         (hits_after + misses_after) - (hits_before + misses_before);
     if (lookups > 0.0)

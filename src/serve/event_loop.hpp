@@ -1,5 +1,5 @@
 /// \file
-/// Event-loop building blocks of the TCP transport (serve/tcp.hpp): the
+/// Event-loop building blocks of the connection transport (serve/tcp.hpp): the
 /// readiness-API seam, a lazy timer wheel for idle-timeout reaping, a
 /// bounded JSONL reassembly buffer, and a cross-thread wakeup fd.
 ///

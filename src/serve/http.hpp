@@ -1,7 +1,7 @@
 /// \file
 /// Minimal HTTP/1.1 GET surface of the observability endpoints.
 ///
-/// The TCP event loop (serve/tcp.cpp) owns a second listener
+/// The event loop (serve/tcp.cpp) owns a second, TCP listener
 /// (`serve --http=HOST:PORT`) whose connections speak plain HTTP instead
 /// of JSONL: one GET per connection, answered with `Connection: close`.
 /// This header is the protocol piece — head framing/parsing, response

@@ -107,21 +107,15 @@ std::string stats_response(const Json& id, const ServiceStats& stats,
 
   Json conns = Json::object();
   conns.set("accepted", count_json(snapshot.counter_or("serve.conns.accepted")));
-  conns.set("rejected", count_json(snapshot.counter_or("serve.conns.rejected")));
+  conns.set("shed", count_json(snapshot.counter_or("serve.conns.shed")));
+  conns.set("idle_reaped",
+            count_json(snapshot.counter_or("serve.conns.idle_reaped")));
   conns.set("active", Json(snapshot.gauge_or("serve.conns.active")));
+  conns.set("read_buf_highwater",
+            Json(snapshot.gauge_or("serve.conns.read_buf_highwater")));
+  conns.set("write_buf_highwater",
+            Json(snapshot.gauge_or("serve.conns.write_buf_highwater")));
   response.set("conns", std::move(conns));
-
-  Json tcp = Json::object();
-  tcp.set("accepted", count_json(snapshot.counter_or("serve.tcp.accepted")));
-  tcp.set("shed", count_json(snapshot.counter_or("serve.tcp.shed")));
-  tcp.set("idle_reaped",
-          count_json(snapshot.counter_or("serve.tcp.idle_reaped")));
-  tcp.set("active", Json(snapshot.gauge_or("serve.tcp.active")));
-  tcp.set("read_buf_highwater",
-          Json(snapshot.gauge_or("serve.tcp.read_buf_highwater")));
-  tcp.set("write_buf_highwater",
-          Json(snapshot.gauge_or("serve.tcp.write_buf_highwater")));
-  response.set("tcp", std::move(tcp));
 
   Json sessions = Json::object();
   sessions.set("active", Json(snapshot.gauge_or("serve.session.active")));
@@ -187,14 +181,11 @@ Service::Service(ServiceOptions options,
   lat_write_ = &metrics_.histogram(stage_metric("write"));
   lat_total_ = &metrics_.histogram(stage_metric("total"));
   metrics_.counter("serve.conns.accepted");
-  metrics_.counter("serve.conns.rejected");
+  metrics_.counter("serve.conns.shed");
+  metrics_.counter("serve.conns.idle_reaped");
   metrics_.gauge("serve.conns.active");
-  metrics_.counter("serve.tcp.accepted");
-  metrics_.counter("serve.tcp.shed");
-  metrics_.counter("serve.tcp.idle_reaped");
-  metrics_.gauge("serve.tcp.active");
-  metrics_.gauge("serve.tcp.read_buf_highwater");
-  metrics_.gauge("serve.tcp.write_buf_highwater");
+  metrics_.gauge("serve.conns.read_buf_highwater");
+  metrics_.gauge("serve.conns.write_buf_highwater");
   session_opened_c_ = &metrics_.counter("serve.session.opened");
   session_closed_c_ = &metrics_.counter("serve.session.closed");
   session_submits_c_ = &metrics_.counter("serve.session.submits");

@@ -178,8 +178,8 @@ class Service {
   /// One monitoring interval: snapshots the metrics, feeds the anomaly
   /// watchdog, and — when a threshold trips outside the cooldown — dumps
   /// the recorder to ServiceOptions::watchdog_dump. Serialized internally;
-  /// the TCP event loop calls this once per monitor interval, tests call
-  /// it directly. Returns true when a dump fired.
+  /// the event loop (serve/tcp.hpp) calls this once per monitor interval,
+  /// tests call it directly. Returns true when a dump fired.
   bool monitor_tick() MSRS_EXCLUDES(monitor_mutex_);
 
   /// The watchdog's retained timeseries window and trip state (diagnostic

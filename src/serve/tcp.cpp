@@ -40,18 +40,9 @@ bool parse_host_port(const std::string& target, std::string* host,
 std::unique_ptr<LineClient> connect_line_client(const std::string& unix_path,
                                                 const std::string& tcp_target,
                                                 std::string* error) {
-  if (!tcp_target.empty()) {
-    auto client = std::make_unique<TcpClient>();
-    if (!client->connect(tcp_target, error)) return nullptr;
-    return client;
-  }
-  if (!unix_path.empty()) {
-    auto client = std::make_unique<SocketClient>();
-    if (!client->connect(unix_path, error)) return nullptr;
-    return client;
-  }
-  if (error) *error = "no target: need a UNIX socket path or HOST:PORT";
-  return nullptr;
+  auto client = std::make_unique<LineClient>();
+  if (!client->connect(unix_path, tcp_target, error)) return nullptr;
+  return client;
 }
 
 }  // namespace msrs::serve
@@ -62,6 +53,7 @@ std::unique_ptr<LineClient> connect_line_client(const std::string& unix_path,
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 namespace msrs::serve {
@@ -83,14 +75,45 @@ bool send_all_blocking(int fd, const char* data, std::size_t size) {
   return true;
 }
 
+// Fills the UNIX-domain address of `path`; false + `*error` when the path
+// does not fit sun_path.
+bool unix_address(const std::string& path, sockaddr_un* address,
+                  std::string* error) {
+  *address = {};
+  address->sun_family = AF_UNIX;
+  if (path.size() >= sizeof address->sun_path) {
+    if (error) *error = "socket path too long: " + path;
+    return false;
+  }
+  std::memcpy(address->sun_path, path.c_str(), path.size() + 1);
+  return true;
+}
+
 }  // namespace
 
-// ---------------- TcpClient ----------------
+// ---------------- LineClient ----------------
 
-TcpClient::~TcpClient() { close(); }
+LineClient::~LineClient() { close(); }
 
-bool TcpClient::connect(const std::string& host_port, std::string* error) {
+bool LineClient::connect(const std::string& unix_path,
+                         const std::string& host_port, std::string* error) {
   close();
+  if (host_port.empty()) {
+    if (unix_path.empty()) {
+      if (error) *error = "no target: need a UNIX socket path or HOST:PORT";
+      return false;
+    }
+    sockaddr_un address;
+    if (!unix_address(unix_path, &address, error)) return false;
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd_ < 0 || ::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
+                             sizeof address) != 0) {
+      if (error) *error = "connect " + unix_path + ": " + std::strerror(errno);
+      close();
+      return false;
+    }
+    return true;
+  }
   std::string host;
   std::uint16_t port = 0;
   if (!parse_host_port(host_port, &host, &port, error)) return false;
@@ -124,23 +147,23 @@ bool TcpClient::connect(const std::string& host_port, std::string* error) {
   return true;
 }
 
-bool TcpClient::send_line(const std::string& line) {
+bool LineClient::send_line(const std::string& line) {
   if (fd_ < 0) return false;
   std::string framed = line;
   framed.push_back('\n');
   return send_all_blocking(fd_, framed.data(), framed.size());
 }
 
-bool TcpClient::send_bytes(const char* data, std::size_t size) {
+bool LineClient::send_bytes(const char* data, std::size_t size) {
   if (fd_ < 0) return false;
   return send_all_blocking(fd_, data, size);
 }
 
-void TcpClient::shutdown_write() {
+void LineClient::shutdown_write() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
-bool TcpClient::recv_line(std::string* line) {
+bool LineClient::recv_line(std::string* line) {
   if (fd_ < 0) return false;
   char chunk[4096];
   for (;;) {
@@ -159,7 +182,18 @@ bool TcpClient::recv_line(std::string* line) {
   }
 }
 
-void TcpClient::abort_connection() {
+bool LineClient::peer_closed() {
+  if (fd_ < 0) return true;
+  if (!buffer_.empty()) return false;
+  char byte;
+  ssize_t got;
+  do {
+    got = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  } while (got < 0 && errno == EINTR);
+  return got == 0 || (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+}
+
+void LineClient::abort_connection() {
   if (fd_ < 0) return;
   // SO_LINGER with a zero timeout makes close() send RST and discard any
   // unsent/unread data — the wire signature of a client killed mid-flight.
@@ -170,7 +204,7 @@ void TcpClient::abort_connection() {
   close();
 }
 
-void TcpClient::close() {
+void LineClient::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -181,21 +215,23 @@ void TcpClient::close() {
 
 }  // namespace msrs::serve
 
-#else  // _WIN32: no TCP client; every operation fails descriptively.
+#else  // _WIN32: no line client; every operation fails descriptively.
 
 namespace msrs::serve {
 
-TcpClient::~TcpClient() = default;
-bool TcpClient::connect(const std::string&, std::string* error) {
-  if (error) *error = "TCP transport is unavailable on this platform";
+LineClient::~LineClient() = default;
+bool LineClient::connect(const std::string&, const std::string&,
+                         std::string* error) {
+  if (error) *error = "socket clients are unavailable on this platform";
   return false;
 }
-bool TcpClient::send_line(const std::string&) { return false; }
-bool TcpClient::send_bytes(const char*, std::size_t) { return false; }
-void TcpClient::shutdown_write() {}
-bool TcpClient::recv_line(std::string*) { return false; }
-void TcpClient::abort_connection() {}
-void TcpClient::close() {}
+bool LineClient::send_line(const std::string&) { return false; }
+bool LineClient::send_bytes(const char*, std::size_t) { return false; }
+void LineClient::shutdown_write() {}
+bool LineClient::recv_line(std::string*) { return false; }
+bool LineClient::peer_closed() { return true; }
+void LineClient::abort_connection() {}
+void LineClient::close() {}
 
 }  // namespace msrs::serve
 
@@ -211,14 +247,13 @@ void TcpClient::close() {}
 #include <unordered_map>
 #include <vector>
 
-#include "serve/conn_budget.hpp"
 #include "serve/http.hpp"
 #include "util/sync.hpp"
 
 namespace msrs::serve {
 namespace {
 
-// One live TCP connection owned by the event loop. Socket I/O and the
+// One live connection owned by the event loop. Socket I/O and the
 // reading/draining flags are touched only on the loop thread; shard
 // workers reach just the outbox (under `mutex`) through the OrderedWriter
 // sink.
@@ -250,36 +285,41 @@ struct TcpConn {
   bool closed MSRS_GUARDED_BY(mutex) = false;
 };
 
-// The event loop: one thread owning the listen socket, every connection
-// fd, the framers and the timer wheel. Responses completed on shard
-// worker threads land in per-connection outboxes and nudge the loop via
-// an eventfd; the loop is the only thread that reads, writes or closes a
-// socket, so connection state needs no further locking.
+// The event loop: one thread owning the listen sockets, every connection
+// fd, the framers, the timer wheel and the live-connection count.
+// Responses completed on shard worker threads land in per-connection
+// outboxes and nudge the loop via an eventfd; the loop is the only thread
+// that reads, writes or closes a socket, so connection state (the count
+// included: accept and close both run here) needs no further locking.
 class TcpServer {
  public:
   TcpServer(Service& service, const TcpOptions& options)
       : service_(service),
         options_(options),
         wheel_(options.tick_ms <= 0 ? 100 : options.tick_ms, 512),
-        budget_(options.max_connections,
-                service.metrics().counter("serve.tcp.accepted"),
-                service.metrics().counter("serve.tcp.shed"),
-                service.metrics().gauge("serve.tcp.active")),
-        idle_reaped_(service.metrics().counter("serve.tcp.idle_reaped")),
+        max_connections_(std::max<std::size_t>(options.max_connections, 1)),
+        accepted_(service.metrics().counter("serve.conns.accepted")),
+        shed_(service.metrics().counter("serve.conns.shed")),
+        idle_reaped_(service.metrics().counter("serve.conns.idle_reaped")),
+        active_gauge_(service.metrics().gauge("serve.conns.active")),
         read_hw_gauge_(
-            service.metrics().gauge("serve.tcp.read_buf_highwater")),
+            service.metrics().gauge("serve.conns.read_buf_highwater")),
         write_hw_gauge_(
-            service.metrics().gauge("serve.tcp.write_buf_highwater")) {}
+            service.metrics().gauge("serve.conns.write_buf_highwater")) {}
 
-  int run(const std::string& host_port, std::string* error) {
+  int run(const std::string& unix_path, const std::string& host_port,
+          std::string* error) {
     if (!host_port.empty()) {
       std::string host;
       std::uint16_t port = 0;
       if (!parse_host_port(host_port, &host, &port, error)) return 1;
       listen_fd_ = listen_on(host, port, error, options_.on_listen);
       if (listen_fd_ < 0) return 1;
+    } else if (!unix_path.empty()) {
+      listen_fd_ = listen_unix(unix_path, error);
+      if (listen_fd_ < 0) return 1;
     } else if (options_.http.empty()) {
-      if (error) *error = "no TCP target: need a JSONL or HTTP address";
+      if (error) *error = "no target: need a JSONL or HTTP address";
       return 1;
     }
     if (!options_.http.empty()) {
@@ -288,13 +328,13 @@ class TcpServer {
       if (!parse_host_port(options_.http, &host, &port, error) ||
           (http_listen_fd_ =
                listen_on(host, port, error, options_.on_http_listen)) < 0) {
-        if (listen_fd_ >= 0) ::close(listen_fd_);
+        close_listener();
         return 1;
       }
     }
     poller_ = make_poller(error);
     if (!poller_) {
-      if (listen_fd_ >= 0) ::close(listen_fd_);
+      close_listener();
       if (http_listen_fd_ >= 0) ::close(http_listen_fd_);
       return 1;
     }
@@ -428,6 +468,43 @@ class TcpServer {
     return listen_fd;
   }
 
+  // Binds and listens on the UNIX-domain socket `path`, unlinking a stale
+  // file there first; returns the fd (-1 + *error on failure).
+  int listen_unix(const std::string& path, std::string* error) {
+    sockaddr_un address;
+    if (!unix_address(path, &address, error)) return -1;
+    const int fd =
+        ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (fd < 0) {
+      if (error) *error = std::string("socket: ") + std::strerror(errno);
+      return -1;
+    }
+    ::unlink(path.c_str());  // stale socket file from a previous run
+    const char* failed = nullptr;
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
+               sizeof address) != 0)
+      failed = "bind ";
+    else if (::listen(fd, 512) != 0)
+      failed = "listen ";
+    if (failed != nullptr) {
+      if (error) *error = failed + path + ": " + std::strerror(errno);
+      ::close(fd);
+      return -1;
+    }
+    unix_path_ = path;
+    if (options_.on_listen) options_.on_listen(0);
+    return fd;
+  }
+
+  // Closes the JSONL listener; a UNIX listener's path goes with it.
+  void close_listener() {
+    if (listen_fd_ < 0) return;
+    if (poller_) poller_->remove(listen_fd_);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
+  }
+
   void accept_new(int listen_fd, bool http) {
     for (;;) {
       const int fd = ::accept4(listen_fd, nullptr, nullptr,
@@ -436,7 +513,8 @@ class TcpServer {
         if (errno == EINTR) continue;
         return;  // EAGAIN: accepted everything pending
       }
-      if (!budget_.try_acquire()) {
+      if (active_ >= max_connections_) {
+        shed_.inc();
         if (obs::FlightRecorder* recorder = service_.recorder())
           recorder->record(
               obs::EventKind::kShed, 0,
@@ -455,8 +533,12 @@ class TcpServer {
         ::close(fd);
         continue;
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      accepted_.inc();
+      active_gauge_.set(static_cast<std::int64_t>(++active_));
+      if (http || unix_path_.empty()) {  // no Nagle on AF_UNIX
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      }
       auto conn = std::make_shared<TcpConn>(options_.max_line_bytes);
       conn->fd = fd;
       conn->http = http;
@@ -503,12 +585,18 @@ class TcpServer {
   }
 
   void handle_read(const std::shared_ptr<TcpConn>& conn) {
+    // At most kReadBudget bytes per wakeup: level-triggered epoll reports
+    // the rest on a later tick, after the write gate has been checked
+    // again, so a client that sends without pause can neither hold the
+    // loop nor grow its framer without bound.
+    constexpr std::size_t kReadBudget = 256 << 10;
     char chunk[16384];
     bool eof = false;
-    for (;;) {
+    for (std::size_t taken = 0; taken < kReadBudget;) {
       const ssize_t got = ::read(conn->fd, chunk, sizeof chunk);
       if (got > 0) {
         conn->framer.append(chunk, static_cast<std::size_t>(got));
+        taken += static_cast<std::size_t>(got);
         if (options_.idle_timeout_ms > 0)
           wheel_.arm(conn->fd, now_ms_ + options_.idle_timeout_ms);
         continue;
@@ -532,7 +620,7 @@ class TcpServer {
       }
       // After a shutdown op keeps submitting: each line already on the
       // wire still gets its (shutting_down) response, per the
-      // one-response-per-request contract (same as the socket transport).
+      // one-response-per-request contract.
       submit_line(conn, std::move(line));
     }
     if (conn->framer.overflowed()) {
@@ -723,7 +811,7 @@ class TcpServer {
     wheel_.cancel(fd);
     ::close(fd);
     conns_.erase(fd);
-    budget_.release();
+    active_gauge_.set(static_cast<std::int64_t>(--active_));
   }
 
   void note_read_highwater(std::size_t value) {
@@ -744,11 +832,7 @@ class TcpServer {
     // The JSONL listener closes now; the HTTP listener stays up through
     // the drain so `/healthz` keeps answering (with 503 — the service no
     // longer accepts).
-    if (listen_fd_ >= 0) {
-      poller_->remove(listen_fd_);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
+    close_listener();
     // Every admitted request is answered (shutting_down past the
     // deadline) before shutdown returns. That can take up to 30s, so it
     // waits on a helper thread while this loop keeps serving HTTP scrapes
@@ -815,13 +899,18 @@ class TcpServer {
   std::unique_ptr<Poller> poller_;
   WakeupFd wakeup_;
   TimerWheel wheel_;
-  ConnectionBudget budget_;
+  std::size_t max_connections_;
+  std::size_t active_ = 0;  // live connections, JSONL and HTTP
+  obs::Counter& accepted_;
+  obs::Counter& shed_;
   obs::Counter& idle_reaped_;
+  obs::Gauge& active_gauge_;
   obs::Gauge& read_hw_gauge_;
   obs::Gauge& write_hw_gauge_;
   std::size_t read_hw_max_ = 0;
   std::size_t write_hw_max_ = 0;
   int listen_fd_ = -1;
+  std::string unix_path_;  // set when the JSONL listener is AF_UNIX
   int http_listen_fd_ = -1;
   std::uint64_t last_monitor_ms_ = 0;  // last monitor_tick() loop time
   std::unordered_map<int, std::shared_ptr<TcpConn>> conns_;
@@ -832,10 +921,11 @@ class TcpServer {
 
 }  // namespace
 
-int serve_tcp(Service& service, const std::string& host_port,
-              std::string* error, TcpOptions options) {
+int serve_tcp(Service& service, const std::string& unix_path,
+              const std::string& host_port, std::string* error,
+              TcpOptions options) {
   TcpServer server(service, options);
-  return server.run(host_port, error);
+  return server.run(unix_path, host_port, error);
 }
 
 }  // namespace msrs::serve
@@ -844,8 +934,12 @@ int serve_tcp(Service& service, const std::string& host_port,
 
 namespace msrs::serve {
 
-int serve_tcp(Service&, const std::string&, std::string* error, TcpOptions) {
-  if (error) *error = "TCP transport is unavailable on this platform";
+int serve_tcp(Service&, const std::string&, const std::string&,
+              std::string* error, TcpOptions) {
+  if (error)
+    *error =
+        "the event-loop transport (--tcp, --socket, --http) is unavailable "
+        "on this platform";
   return 1;
 }
 

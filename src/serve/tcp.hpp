@@ -1,16 +1,19 @@
 /// \file
-/// TCP transport: a single-threaded, level-triggered epoll event loop
-/// (serve/event_loop.hpp) behind `msrs_engine_cli serve --tcp=HOST:PORT`,
-/// plus the blocking line client the load driver and tests connect with.
+/// The connection transport: a single-threaded, level-triggered epoll event
+/// loop (serve/event_loop.hpp) behind `msrs_engine_cli serve --tcp=HOST:PORT`
+/// and `serve --socket=PATH`, plus the one blocking line client the load
+/// driver, the `stats` subcommand and the tests connect with.
 ///
-/// One JSONL stream per connection, responses in that connection's request
-/// order (one OrderedWriter per connection). The loop owns non-blocking
-/// accept, per-connection bounded read/write buffers with framing across
-/// arbitrary packetization, idle-timeout reaping via a timer wheel, and a
-/// connection budget (serve/conn_budget.hpp) that sheds over-budget
-/// accepts with one named `overloaded` line before close. Shard workers
-/// deliver responses into a connection's outbox under its lock and nudge
-/// the loop through an eventfd; only the loop thread touches sockets.
+/// The loop listens on a TCP address or a UNIX-domain socket path; past
+/// accept the two are served identically. One JSONL stream per connection,
+/// responses in that connection's request order (one OrderedWriter per
+/// connection). The loop owns non-blocking accept, per-connection bounded
+/// read/write buffers with framing across arbitrary packetization,
+/// idle-timeout reaping via a timer wheel, and a live-connection budget
+/// that sheds over-budget accepts with one named `overloaded` line before
+/// close. Shard workers deliver responses into a connection's outbox under
+/// its lock and nudge the loop through an eventfd; only the loop thread
+/// touches sockets, so a client that never reads stalls no shard.
 ///
 /// Response bytes are identical to the stdio transport for the same
 /// request stream — including a final unterminated line, which is flushed
@@ -26,20 +29,20 @@
 #include <string>
 
 #include "serve/service.hpp"
-#include "serve/socket.hpp"
 
 namespace msrs::serve {
 
-/// True when this build carries the TCP event-loop transport.
+/// True when this build carries the event-loop transport.
 bool tcp_transport_available();
 
-/// Options of the TCP server loop.
+/// Options of the event-loop server.
 struct TcpOptions {
-  /// Live-connection budget: over-budget accepts are answered with one
-  /// `overloaded` error line and closed (counted as `serve.tcp.shed`).
+  /// Live-connection budget (JSONL and HTTP connections alike): over-budget
+  /// accepts are answered with one `overloaded` error line (HTTP: a 503)
+  /// and closed, counted as `serve.conns.shed`.
   std::size_t max_connections = 1024;
   /// Connections idle (no bytes read) longer than this are reaped — closed
-  /// and counted as `serve.tcp.idle_reaped`. 0 disables reaping.
+  /// and counted as `serve.conns.idle_reaped`. 0 disables reaping.
   std::uint64_t idle_timeout_ms = 60'000;
   /// Read-buffer bound: a single request line longer than this is answered
   /// with a named `parse_error` and the connection is closed.
@@ -51,8 +54,9 @@ struct TcpOptions {
   /// Poll tick in milliseconds: the upper bound on how long the loop
   /// sleeps before noticing stop flags and timer-wheel deadlines.
   int tick_ms = 100;
-  /// Invoked once from the serve loop with the bound port (useful with
-  /// port 0 — tests and `serve --port-file`).
+  /// Invoked once, when the JSONL listener is up, with the bound port
+  /// (useful with port 0 — tests and `serve --port-file`); 0 for a
+  /// UNIX-domain listener.
   std::function<void(std::uint16_t)> on_listen;
   /// Optional HTTP exposition listener ("HOST:PORT", "" = disabled): the
   /// same loop thread serves `GET /metrics`, `/healthz`, `/recorder` and
@@ -71,36 +75,42 @@ struct TcpOptions {
 bool parse_host_port(const std::string& target, std::string* host,
                      std::uint16_t* port, std::string* error);
 
-/// Binds `host_port` ("HOST:PORT"; port 0 picks an ephemeral port,
-/// reported via TcpOptions::on_listen), accepts connections, and serves
+/// Listens on `host_port` ("HOST:PORT"; port 0 picks an ephemeral port,
+/// reported via TcpOptions::on_listen) or, when that is empty, on the
+/// UNIX-domain socket `unix_path` (a stale file there is unlinked first,
+/// and the path is removed again on exit). Accepts connections and serves
 /// until a stop signal or a client `shutdown` op; then drains in-flight
 /// requests, flushes every connection's pending responses, and closes.
 /// While draining, the HTTP listener (TcpOptions::http) keeps serving so
-/// `/healthz` can report 503. An empty `host_port` is accepted when an
-/// HTTP target is configured (exposition-only loop). Connection metrics
-/// land in the service's registry (`serve.tcp.*`). Returns the process
-/// exit code (0 = clean; 1 with `*error` filled on setup failure).
-int serve_tcp(Service& service, const std::string& host_port,
-              std::string* error, TcpOptions options = {});
+/// `/healthz` can report 503. Both addresses may be empty when an HTTP
+/// target is configured (exposition-only loop). Connection metrics land in
+/// the service's registry (`serve.conns.*`). Returns the process exit code
+/// (0 = clean; 1 with `*error` filled on setup failure).
+int serve_tcp(Service& service, const std::string& unix_path,
+              const std::string& host_port, std::string* error,
+              TcpOptions options = {});
 
-/// Blocking line-oriented TCP client of one serving connection — the
-/// driver's fan-in client and the scripted raw-socket client of the
-/// transport test harness (adversarial chunking, half-close, RST).
-class TcpClient : public LineClient {
+/// Blocking line-oriented client of one serving connection, over TCP or a
+/// UNIX-domain socket — the driver's fan-in client, the `stats`
+/// subcommand's, and the scripted raw-socket client of the transport test
+/// harness (adversarial chunking, half-close, RST).
+class LineClient {
  public:
   /// An unconnected client.
-  TcpClient() = default;
+  LineClient() = default;
   /// Closes the connection if still open.
-  ~TcpClient() override;
+  ~LineClient();
 
-  TcpClient(const TcpClient&) = delete;             ///< not copyable
-  TcpClient& operator=(const TcpClient&) = delete;  ///< not copyable
+  LineClient(const LineClient&) = delete;             ///< not copyable
+  LineClient& operator=(const LineClient&) = delete;  ///< not copyable
 
-  /// Connects to "HOST:PORT"; false + `*error` on failure.
-  bool connect(const std::string& host_port, std::string* error);
+  /// Connects to "HOST:PORT" when `host_port` is non-empty, otherwise to
+  /// the UNIX-domain socket `unix_path`; false + `*error` on failure.
+  bool connect(const std::string& unix_path, const std::string& host_port,
+               std::string* error);
 
   /// Sends one request line (newline appended). False on a broken pipe.
-  bool send_line(const std::string& line) override;
+  bool send_line(const std::string& line);
 
   /// Sends raw bytes exactly as given — the adversarial-chunking hook (no
   /// framing, no newline). False on a broken pipe.
@@ -112,14 +122,19 @@ class TcpClient : public LineClient {
 
   /// Receives the next response line (newline stripped); false on EOF or
   /// a read error.
-  bool recv_line(std::string* line) override;
+  bool recv_line(std::string* line);
 
-  /// Closes the connection abruptly: SO_LINGER 0 makes close() emit RST
-  /// instead of FIN — the "client killed mid-request" fault.
+  /// True when the peer has closed the connection (or it failed) and no
+  /// unread bytes remain — e.g. the server reaped it for idling past its
+  /// `--idle-timeout`. Never blocks.
+  bool peer_closed();
+
+  /// Closes the connection abruptly: over TCP, SO_LINGER 0 makes close()
+  /// emit RST instead of FIN — the "client killed mid-request" fault.
   void abort_connection();
 
   /// Closes the connection (idempotent).
-  void close() override;
+  void close();
 
  private:
   int fd_ = -1;
@@ -127,10 +142,8 @@ class TcpClient : public LineClient {
   std::size_t scanned_ = 0;  // prefix of buffer_ known to hold no newline
 };
 
-/// Connects to whichever target is non-empty — `tcp_target` ("HOST:PORT")
-/// wins over `unix_path` — and returns the connected client, or null with
-/// `*error` filled (also when both targets are empty). The driver and the
-/// `stats` subcommand speak to either transport through this one seam.
+/// LineClient::connect on a fresh client: returns it connected, or null
+/// with `*error` filled (also when both targets are empty).
 std::unique_ptr<LineClient> connect_line_client(const std::string& unix_path,
                                                 const std::string& tcp_target,
                                                 std::string* error);

@@ -58,7 +58,7 @@ int serve_stdio(Service& service, std::istream& in, std::ostream& out) {
 namespace {
 
 // std::atomic<int>, not volatile sig_atomic_t: request_stop() is called
-// from other threads (e.g. the socket server's shutdown op), and a plain
+// from other threads (e.g. `serve` ending its exposition loop), and a plain
 // volatile written cross-thread is a C++ data race. std::atomic<int> is
 // lock-free on every supported target (checked below), which also keeps
 // it async-signal-safe for the handler write.

@@ -71,8 +71,8 @@ void install_stop_signals();
 /// True once a stop signal has been received (or request_stop() called).
 bool stop_requested();
 
-/// Flips the stop flag programmatically (tests; the socket server after a
-/// client `shutdown` op).
+/// Flips the stop flag programmatically (tests; `serve` ends the
+/// exposition-only loop beside stdio with it).
 void request_stop();
 
 /// Clears the stop flag (tests only; signals may race a clear).

@@ -2,7 +2,8 @@
 /// Wire protocol of the serving layer: JSONL requests and responses.
 ///
 /// One request per line, one response line per request, over either
-/// transport (stdin/stdout or a UNIX-domain socket — serve/transport.hpp).
+/// transport (stdin/stdout, serve/transport.hpp, or a TCP or UNIX-domain
+/// socket, serve/tcp.hpp).
 /// Requests:
 /// \verbatim
 ///   {"id":7,"op":"solve","spec":"uniform:n=40,m=4,seed=9"}

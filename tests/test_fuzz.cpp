@@ -736,7 +736,7 @@ TEST(FramerFuzz, RandomlyChunkedTcpStreamAnswersEveryLineInOrder) {
   options.on_listen = [&promise](std::uint16_t p) { promise.set_value(p); };
   std::thread server([&service, options] {
     std::string error;
-    EXPECT_EQ(serve::serve_tcp(service, "127.0.0.1:0", &error, options), 0)
+    EXPECT_EQ(serve::serve_tcp(service, "", "127.0.0.1:0", &error, options), 0)
         << error;
   });
   const std::string target = "127.0.0.1:" + std::to_string(future.get());
@@ -768,9 +768,9 @@ TEST(FramerFuzz, RandomlyChunkedTcpStreamAnswersEveryLineInOrder) {
         break;
     }
   }
-  serve::TcpClient client;
+  serve::LineClient client;
   std::string error;
-  ASSERT_TRUE(client.connect(target, &error)) << error;
+  ASSERT_TRUE(client.connect("", target, &error)) << error;
   std::size_t offset = 0;
   while (offset < stream.size()) {
     const auto chunk = static_cast<std::size_t>(

@@ -1,84 +1,13 @@
-// Tests for the optimization substrates: Dinic max-flow, the reference ILP
-// solver, and the N-fold augmentation solver.
+// Tests for the optimization substrates: the reference ILP solver and the
+// N-fold augmentation solver.
 #include <gtest/gtest.h>
 
 #include "opt/ilp.hpp"
-#include "opt/maxflow.hpp"
 #include "opt/nfold.hpp"
 #include "util/rng.hpp"
 
 namespace msrs {
 namespace {
-
-// ---------------- max-flow ----------------
-
-TEST(MaxFlow, SingleEdge) {
-  MaxFlow flow(2);
-  const int e = flow.add_edge(0, 1, 7);
-  EXPECT_EQ(flow.solve(0, 1), 7);
-  EXPECT_EQ(flow.flow_on(e), 7);
-}
-
-TEST(MaxFlow, ClassicDiamond) {
-  //   0 -> 1 -> 3
-  //   0 -> 2 -> 3 and 1 -> 2
-  MaxFlow flow(4);
-  flow.add_edge(0, 1, 10);
-  flow.add_edge(0, 2, 10);
-  flow.add_edge(1, 3, 10);
-  flow.add_edge(2, 3, 10);
-  flow.add_edge(1, 2, 1);
-  EXPECT_EQ(flow.solve(0, 3), 20);
-}
-
-TEST(MaxFlow, DisconnectedIsZero) {
-  MaxFlow flow(4);
-  flow.add_edge(0, 1, 5);
-  flow.add_edge(2, 3, 5);
-  EXPECT_EQ(flow.solve(0, 3), 0);
-}
-
-TEST(MaxFlow, BipartiteMatchingIntegrality) {
-  // Lemma-18-style network: source -> classes -> layers -> sink. Flow
-  // integrality gives an integral placeholder assignment.
-  // 2 classes needing 2 resp. 1 placeholders; 3 layers with capacity 1 each;
-  // class 0 compatible with layers {0,1}, class 1 with {1,2}.
-  const int source = 0, c0 = 1, c1 = 2, l0 = 3, l1 = 4, l2 = 5, sink = 6;
-  MaxFlow flow(7);
-  flow.add_edge(source, c0, 2);
-  flow.add_edge(source, c1, 1);
-  const int e00 = flow.add_edge(c0, l0, 1);
-  const int e01 = flow.add_edge(c0, l1, 1);
-  const int e11 = flow.add_edge(c1, l1, 1);
-  const int e12 = flow.add_edge(c1, l2, 1);
-  flow.add_edge(l0, sink, 1);
-  flow.add_edge(l1, sink, 1);
-  flow.add_edge(l2, sink, 1);
-  EXPECT_EQ(flow.solve(source, sink), 3);
-  // class 0 must take layers 0 and 1, pushing class 1 to layer 2.
-  EXPECT_EQ(flow.flow_on(e00), 1);
-  EXPECT_EQ(flow.flow_on(e01), 1);
-  EXPECT_EQ(flow.flow_on(e11), 0);
-  EXPECT_EQ(flow.flow_on(e12), 1);
-}
-
-TEST(MaxFlow, RandomGraphsFlowConservation) {
-  Rng rng(77);
-  for (int round = 0; round < 20; ++round) {
-    const int n = 8;
-    MaxFlow flow(n);
-    std::vector<int> ids;
-    for (int i = 0; i < 20; ++i) {
-      const int a = static_cast<int>(rng.uniform(0, n - 1));
-      const int b = static_cast<int>(rng.uniform(0, n - 1));
-      if (a == b) continue;
-      ids.push_back(flow.add_edge(a, b, rng.uniform(0, 10)));
-    }
-    const std::int64_t value = flow.solve(0, n - 1);
-    EXPECT_GE(value, 0);
-    for (int id : ids) EXPECT_GE(flow.flow_on(id), 0);
-  }
-}
 
 // ---------------- ILP ----------------
 

@@ -1,7 +1,7 @@
 // Serving layer: wire protocol, ordered delivery, sharded service
 // semantics (determinism across shard counts, named errors, admission
 // rejection, graceful shutdown), the stdio transport loop, and the
-// telemetry surface (stats breakdowns, trace spans, connection budget).
+// telemetry surface (stats breakdowns, trace spans).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "core/instance_io.hpp"
 #include "perf/alloc.hpp"
 #include "serve/serve.hpp"
-#include "serve/socket.hpp"
 #include "sim/workloads.hpp"
 
 namespace msrs::serve {
@@ -446,11 +445,13 @@ TEST(Telemetry, StatsOpCarriesBreakdownsAndLatencyDecomposition) {
     wins += value.as_number();
   EXPECT_EQ(wins, 1.0);
 
+  // One transport-neutral connection block (serve.conns.*), no `tcp`.
   const Json* conns = stats->find("conns");
   ASSERT_NE(conns, nullptr);
-  ASSERT_NE(conns->find("accepted"), nullptr);
-  ASSERT_NE(conns->find("active"), nullptr);
-  ASSERT_NE(conns->find("rejected"), nullptr);
+  for (const char* key : {"accepted", "shed", "idle_reaped", "active",
+                          "read_buf_highwater", "write_buf_highwater"})
+    ASSERT_NE(conns->find(key), nullptr) << key;
+  EXPECT_EQ(stats->find("tcp"), nullptr);
 
   // Latency decomposition: all five lifecycle stages, each with count and
   // quantiles; the solve requests were measured.
@@ -672,52 +673,6 @@ TEST(Telemetry, PrometheusPageExposesServiceSeries) {
   EXPECT_NE(page.find("msrs_serve_latency_total_us_count 1"),
             std::string::npos);
   EXPECT_NE(page.find("msrs_serve_queue_depth_0"), std::string::npos);
-}
-
-TEST(ServeSocket, ConnectionBudgetShedsExtraClients) {
-  if (!socket_transport_available())
-    GTEST_SKIP() << "no socket transport on this platform";
-  const std::string path = ::testing::TempDir() + "msrs_budget.sock";
-  ServiceOptions options = small_service(1);
-  Service service(options);
-  SocketOptions socket_options;
-  socket_options.max_connections = 1;
-  std::thread server([&service, &path, socket_options] {
-    std::string error;
-    EXPECT_EQ(serve_socket(service, path, &error, socket_options), 0)
-        << error;
-  });
-
-  SocketClient first;
-  std::string error;
-  bool connected = false;
-  for (int i = 0; i < 500 && !connected; ++i) {
-    connected = first.connect(path, &error);
-    if (!connected)
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(connected) << error;
-  std::string line;
-  ASSERT_TRUE(first.send_line(R"({"id":1,"op":"ping"})"));
-  ASSERT_TRUE(first.recv_line(&line));
-  EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
-
-  // Over budget: the second client gets one named overloaded line, then
-  // the connection closes.
-  SocketClient second;
-  ASSERT_TRUE(second.connect(path, &error)) << error;
-  ASSERT_TRUE(second.recv_line(&line));
-  EXPECT_NE(line.find("\"error\":\"overloaded\""), std::string::npos);
-  EXPECT_FALSE(second.recv_line(&line));  // EOF
-
-  ASSERT_TRUE(first.send_line(R"({"op":"shutdown"})"));
-  ASSERT_TRUE(first.recv_line(&line));
-  server.join();
-
-  const obs::MetricsSnapshot snapshot = service.metrics_snapshot();
-  EXPECT_EQ(snapshot.counter_or("serve.conns.accepted"), 1u);
-  EXPECT_EQ(snapshot.counter_or("serve.conns.rejected"), 1u);
-  EXPECT_EQ(snapshot.gauge_or("serve.conns.active"), 0);
 }
 
 // ---------------- stop flag ----------------

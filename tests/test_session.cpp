@@ -407,7 +407,7 @@ class TcpChurnServer {
     options.on_listen = [&promise](std::uint16_t p) { promise.set_value(p); };
     thread_ = std::thread([this, options] {
       std::string error;
-      code_ = serve_tcp(service_, "127.0.0.1:0", &error, options);
+      code_ = serve_tcp(service_, "", "127.0.0.1:0", &error, options);
       error_ = error;
     });
     port_ = future.get();

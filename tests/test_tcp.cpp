@@ -1,12 +1,17 @@
-// TCP transport: event-loop building blocks (timer wheel, line framer,
-// host:port parsing), byte-identity with the stdio transport under
-// adversarial packetization, fault injection (silent client, client
-// killed mid-request, over-budget floods), the socket-transport budget
-// race regression, and the >=256-connection fan-in acceptance bar.
+// The event-loop transport: its building blocks (timer wheel, line
+// framer, host:port parsing), then — over both address families it listens
+// on, TCP and a UNIX path — byte-identity with the stdio transport under
+// adversarial packetization, fault injection (silent client, client killed
+// mid-request, a client that never reads, over-budget floods), drain, the
+// >=256-connection fan-in acceptance bar, and the HTTP exposition listener.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
@@ -118,7 +123,7 @@ TEST(ParseHostPort, AcceptsValidAndRejectsMalformedTargets) {
   }
 }
 
-// ---------------- in-process TCP server fixture ----------------
+// ---------------- in-process server fixture ----------------
 
 ServiceOptions small_service(unsigned shards) {
   ServiceOptions options;
@@ -127,44 +132,91 @@ ServiceOptions small_service(unsigned shards) {
   return options;
 }
 
-// Runs serve_tcp on an ephemeral loopback port in a background thread;
+// The two address families the event loop listens on.
+enum class AddressFamily { kTcp, kUnix };
+
+std::string family_name(const ::testing::TestParamInfo<AddressFamily>& info) {
+  return info.param == AddressFamily::kTcp ? "tcp" : "unix";
+}
+
+// A fresh UNIX socket path: ctest runs test binaries in parallel, so the
+// pid keeps their paths apart.
+std::string unix_socket_path() {
+  static int counter = 0;
+  return ::testing::TempDir() + "msrs_loop_" + std::to_string(::getpid()) +
+         "_" + std::to_string(counter++) + ".sock";
+}
+
+// Runs serve_tcp on an ephemeral loopback port or a fresh UNIX path in a
+// background thread, optionally with the HTTP listener (TcpOptions::http).
 // stop() ends the loop via the cooperative stop flag (works even when
-// every budget slot is taken, unlike a shutdown-op connection).
-class TcpTestServer {
+// every budget slot is taken); join() waits for a `shutdown` op to end it.
+class LoopTestServer {
  public:
-  explicit TcpTestServer(ServiceOptions service_options, TcpOptions options)
+  explicit LoopTestServer(AddressFamily family, ServiceOptions service_options,
+                          TcpOptions options = {})
       : service_(service_options) {
-    std::promise<std::uint16_t> promise;
-    std::future<std::uint16_t> future = promise.get_future();
-    options.on_listen = [&promise](std::uint16_t p) { promise.set_value(p); };
+    if (family == AddressFamily::kUnix) unix_path_ = unix_socket_path();
+    std::promise<std::uint16_t> jsonl_promise, http_promise;
+    std::future<std::uint16_t> jsonl_port = jsonl_promise.get_future();
+    std::future<std::uint16_t> http_port = http_promise.get_future();
+    options.on_listen = [&jsonl_promise](std::uint16_t p) {
+      jsonl_promise.set_value(p);
+    };
+    options.on_http_listen = [&http_promise](std::uint16_t p) {
+      http_promise.set_value(p);
+    };
     if (options.tick_ms <= 0 || options.tick_ms > 20)
       options.tick_ms = 20;  // keep stop() and reaping prompt in tests
-    thread_ = std::thread([this, options] {
+    const std::string host_port =
+        family == AddressFamily::kTcp ? "127.0.0.1:0" : "";
+    thread_ = std::thread([this, options, host_port] {
       std::string error;
-      code_ = serve_tcp(service_, "127.0.0.1:0", &error, options);
+      code_ = serve_tcp(service_, unix_path_, host_port, &error, options);
       error_ = error;
     });
-    port_ = future.get();
+    const std::uint16_t port = jsonl_port.get();
+    if (family == AddressFamily::kTcp)
+      host_port_ = "127.0.0.1:" + std::to_string(port);
+    if (!options.http.empty())
+      http_target_ = "127.0.0.1:" + std::to_string(http_port.get());
   }
 
-  ~TcpTestServer() { stop(); }
+  ~LoopTestServer() { stop(); }
 
   void stop() {
     if (stopped_) return;
-    stopped_ = true;
     request_stop();
+    join();
+  }
+
+  void join() {
+    if (stopped_) return;
+    stopped_ = true;
     thread_.join();
     reset_stop();
     EXPECT_EQ(code_, 0) << error_;
   }
 
-  std::string target() const { return "127.0.0.1:" + std::to_string(port_); }
+  bool connect(LineClient& client, std::string* error) const {
+    return client.connect(unix_path_, host_port_, error);
+  }
+
+  // The listen address in DriveOptions form.
+  void target(DriveOptions* options) const {
+    options->socket = unix_path_;
+    options->tcp = host_port_;
+  }
+
+  const std::string& http_target() const { return http_target_; }
   Service& service() { return service_; }
 
  private:
   Service service_;
   std::thread thread_;
-  std::uint16_t port_ = 0;
+  std::string unix_path_;    // set for the UNIX family
+  std::string host_port_;    // set for the TCP family
+  std::string http_target_;  // set with TcpOptions::http
   int code_ = -1;
   std::string error_;
   bool stopped_ = false;
@@ -189,6 +241,20 @@ class TcpTestServer {
   }
   return false;
 }
+
+// Every TEST_P below runs once per address family.
+class LoopTransport : public ::testing::TestWithParam<AddressFamily> {
+ protected:
+  void SetUp() override {
+    if (!tcp_transport_available())
+      GTEST_SKIP() << "no event-loop transport on this platform";
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Both, LoopTransport,
+                         ::testing::Values(AddressFamily::kTcp,
+                                           AddressFamily::kUnix),
+                         family_name);
 
 // ---------------- byte-identity with the stdio transport ----------------
 
@@ -220,11 +286,11 @@ std::string adversarial_stream() {
 
 // Sends `bytes` in fixed-size chunks over a fresh connection, half-closes,
 // and returns everything the server wrote until EOF.
-std::string roundtrip_chunked(const std::string& target,
+std::string roundtrip_chunked(const LoopTestServer& server,
                               const std::string& bytes, std::size_t chunk) {
-  TcpClient client;
+  LineClient client;
   std::string error;
-  EXPECT_TRUE(client.connect(target, &error)) << error;
+  EXPECT_TRUE(server.connect(client, &error)) << error;
   for (std::size_t i = 0; i < bytes.size(); i += chunk) {
     EXPECT_TRUE(
         client.send_bytes(bytes.data() + i, std::min(chunk, bytes.size() - i)));
@@ -243,9 +309,7 @@ std::string roundtrip_chunked(const std::string& target,
   return out;
 }
 
-TEST(TcpTransport, ByteIdenticalToStdioUnderAdversarialChunking) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
+TEST_P(LoopTransport, ByteIdenticalToStdioUnderAdversarialChunking) {
   const std::string stream = adversarial_stream();
   const std::string expected = stdio_serve_all(stream, 2);
   ASSERT_FALSE(expected.empty());
@@ -254,16 +318,14 @@ TEST(TcpTransport, ByteIdenticalToStdioUnderAdversarialChunking) {
   // whole stream coalesced into one segment.
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}, stream.size()}) {
-    TcpTestServer server(small_service(2), TcpOptions{});
-    EXPECT_EQ(roundtrip_chunked(server.target(), stream, chunk), expected)
+    LoopTestServer server(GetParam(), small_service(2));
+    EXPECT_EQ(roundtrip_chunked(server, stream, chunk), expected)
         << "chunk=" << chunk;
     server.stop();
   }
 }
 
-TEST(TcpTransport, ResponsesStayInRequestOrderAcrossShardCounts) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
+TEST_P(LoopTransport, ResponsesStayInRequestOrderAcrossShardCounts) {
   // Mixed-cost solves race across shards; the per-connection writer must
   // restore request order, so 1-shard and 4-shard responses are identical.
   std::string stream;
@@ -275,52 +337,49 @@ TEST(TcpTransport, ResponsesStayInRequestOrderAcrossShardCounts) {
   std::string outputs[2];
   const unsigned shard_counts[2] = {1, 4};
   for (int run = 0; run < 2; ++run) {
-    TcpTestServer server(small_service(shard_counts[run]), TcpOptions{});
-    outputs[run] = roundtrip_chunked(server.target(), stream, 13);
+    LoopTestServer server(GetParam(), small_service(shard_counts[run]));
+    outputs[run] = roundtrip_chunked(server, stream, 13);
     server.stop();
   }
   EXPECT_EQ(outputs[0], outputs[1]);
 }
 
-TEST(TcpTransport, OversizedLineIsNamedParseErrorThenClose) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
+TEST_P(LoopTransport, OversizedLineIsNamedParseErrorThenClose) {
   TcpOptions options;
   options.max_line_bytes = 128;
-  TcpTestServer server(small_service(1), options);
-  TcpClient client;
+  LoopTestServer server(GetParam(), small_service(1), options);
+  LineClient client;
   std::string error;
-  ASSERT_TRUE(client.connect(server.target(), &error)) << error;
+  ASSERT_TRUE(server.connect(client, &error)) << error;
   const std::string flood(4096, 'x');  // no newline: unbounded-line attack
   ASSERT_TRUE(client.send_bytes(flood.data(), flood.size()));
   std::string line;
   ASSERT_TRUE(client.recv_line(&line));
   EXPECT_NE(line.find("\"error\":\"parse_error\""), std::string::npos);
   EXPECT_FALSE(client.recv_line(&line));  // EOF: connection is closed
-  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.tcp.active", 0));
+  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.conns.active", 0));
 }
 
 // ---------------- fault injection ----------------
 
-TEST(TcpTransport, SilentClientIsReapedByIdleTimeout) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
+TEST_P(LoopTransport, SilentClientIsReapedByIdleTimeout) {
   TcpOptions options;
   options.idle_timeout_ms = 100;
   options.tick_ms = 10;
-  TcpTestServer server(small_service(1), options);
-  TcpClient silent;
+  LoopTestServer server(GetParam(), small_service(1), options);
+  LineClient silent;
   std::string error;
-  ASSERT_TRUE(silent.connect(server.target(), &error)) << error;
+  ASSERT_TRUE(server.connect(silent, &error)) << error;
   // Never sends a byte: the server must close it of its own accord.
   std::string line;
   EXPECT_FALSE(silent.recv_line(&line));  // EOF from the reaper
-  EXPECT_TRUE(wait_for_counter(server.service(), "serve.tcp.idle_reaped", 1));
-  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.tcp.active", 0));
+  EXPECT_TRUE(
+      wait_for_counter(server.service(), "serve.conns.idle_reaped", 1));
+  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.conns.active", 0));
   // An active client with the same timeout keeps its connection: every
   // request re-arms the idle deadline.
-  TcpClient busy;
-  ASSERT_TRUE(busy.connect(server.target(), &error)) << error;
+  LineClient busy;
+  ASSERT_TRUE(server.connect(busy, &error)) << error;
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(busy.send_line("{\"op\":\"ping\"}"));
     ASSERT_TRUE(busy.recv_line(&line)) << "reaped a live connection at " << i;
@@ -328,81 +387,179 @@ TEST(TcpTransport, SilentClientIsReapedByIdleTimeout) {
   }
 }
 
-TEST(TcpTransport, ClientKilledMidRequestLeaksNothing) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
-  TcpTestServer server(small_service(2), TcpOptions{});
-  // A batch of casualties: each sends a real solve, then RSTs without
-  // reading its response. Every fd and connection record must be
-  // reclaimed (gauge back to zero; ASan owns the leak check).
+TEST_P(LoopTransport, ClientKilledMidRequestLeaksNothing) {
+  LoopTestServer server(GetParam(), small_service(2));
+  // A batch of casualties: each sends a real solve, then dies without
+  // reading its response (RST over TCP). Every fd and connection record
+  // must be reclaimed (gauge back to zero; ASan owns the leak check).
   for (int i = 0; i < 8; ++i) {
-    TcpClient victim;
+    LineClient victim;
     std::string error;
-    ASSERT_TRUE(victim.connect(server.target(), &error)) << error;
+    ASSERT_TRUE(server.connect(victim, &error)) << error;
     ASSERT_TRUE(victim.send_line(
         "{\"id\":1,\"op\":\"solve\",\"spec\":\"uniform:n=40,m=4,seed=" +
         std::to_string(i + 1) + "\"}"));
-    victim.abort_connection();  // SO_LINGER(0): RST mid-request
+    victim.abort_connection();
   }
-  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.tcp.active", 0));
+  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.conns.active", 0));
   // The service survived and still answers.
-  TcpClient probe;
+  LineClient probe;
   std::string error;
-  ASSERT_TRUE(probe.connect(server.target(), &error)) << error;
+  ASSERT_TRUE(server.connect(probe, &error)) << error;
   std::string line;
   ASSERT_TRUE(probe.send_line("{\"op\":\"ping\"}"));
   ASSERT_TRUE(probe.recv_line(&line));
   EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
 }
 
-TEST(TcpTransport, BudgetShedsOverflowWithNamedErrorAndRecovers) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
+TEST_P(LoopTransport, ClientThatNeverReadsCannotStallAnotherClientsSolve) {
+  // A client that pipelines solves and never reads must not hold up
+  // another client of the same shard: shard workers only append to a
+  // connection's outbox, and the loop stops reading a connection whose
+  // outbox is past the write gate.
+  LoopTestServer server(GetParam(), small_service(1));
+  LineClient hog;
+  std::string error;
+  ASSERT_TRUE(server.connect(hog, &error)) << error;
+  // A long echoed id makes each request and response about 4 KiB, so the
+  // socket buffers and the write gate fill after a few thousand solves.
+  const std::string solve = "{\"id\":\"" + std::string(4000, 'h') +
+                            "\",\"op\":\"solve\","
+                            "\"spec\":\"uniform:n=8,m=2,seed=1\"}";
+  std::atomic<std::size_t> sent{0};
+  std::thread pipeliner([&hog, &sent, &solve] {
+    while (hog.send_line(solve)) sent.fetch_add(1);
+  });
+  // The write gate stops the loop reading the hog, so its sends block and
+  // no more of its lines are admitted: both counts stand still for 300 ms.
+  Service& service = server.service();
+  std::size_t last_sent = 0;
+  std::uint64_t last_received = 0;
+  int quiet = 0;
+  for (int poll = 0; poll < 400 && quiet < 6; ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::size_t now_sent = sent.load();
+    const std::uint64_t now_received =
+        service.metrics_snapshot().counter_or("serve.received");
+    quiet = now_sent > 0 && now_sent == last_sent &&
+                    now_received == last_received
+                ? quiet + 1
+                : 0;
+    last_sent = now_sent;
+    last_received = now_received;
+  }
+  EXPECT_EQ(quiet, 6) << "the loop kept reading a client that never reads ("
+                      << sent.load() << " lines pipelined)";
+  // The gate bounds the hog's outbox by itself plus the responses to the
+  // lines admitted before it closed: about 1 MiB here, where without the
+  // gate every response piles up (over 500 MiB within seconds).
+  EXPECT_LT(service.metrics_snapshot().gauge_or(
+                "serve.conns.write_buf_highwater"),
+            16 << 20);
+
+  LineClient other;
+  EXPECT_TRUE(server.connect(other, &error)) << error;
+  EXPECT_TRUE(other.send_line(
+      R"({"id":7,"op":"solve","spec":"uniform:n=12,m=3,seed=5"})"));
+  std::string line;
+  std::future<bool> answered = std::async(
+      std::launch::async, [&other, &line] { return other.recv_line(&line); });
+  EXPECT_EQ(answered.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "a client that never reads stalled the shard (" << sent.load()
+      << " lines pipelined)";
+
+  // Unblock the pipeliner (its blocked send fails once the write side is
+  // shut), then drop the hog with its responses unread.
+  hog.shutdown_write();
+  pipeliner.join();
+  hog.close();
+  EXPECT_TRUE(answered.get());
+  EXPECT_NE(line.find("\"id\":7"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  server.stop();  // and the loop still drains and returns 0
+}
+
+TEST_P(LoopTransport, BudgetShedsOverflowWithNamedErrorAndRecovers) {
   TcpOptions options;
   options.max_connections = 2;
-  TcpTestServer server(small_service(1), options);
+  LoopTestServer server(GetParam(), small_service(1), options);
   std::string error;
   std::string line;
   // Fill the budget (N connections against --max-conns N).
-  std::vector<std::unique_ptr<TcpClient>> holders;
+  std::vector<std::unique_ptr<LineClient>> holders;
   for (int i = 0; i < 2; ++i) {
-    auto holder = std::make_unique<TcpClient>();
-    ASSERT_TRUE(holder->connect(server.target(), &error)) << error;
-    ASSERT_TRUE(holder->send_line("{\"op\":\"ping\"}"));
+    auto holder = std::make_unique<LineClient>();
+    ASSERT_TRUE(server.connect(*holder, &error)) << error;
+    ASSERT_TRUE(holder->send_line(R"({"id":1,"op":"ping"})"));
     ASSERT_TRUE(holder->recv_line(&line));
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
     holders.push_back(std::move(holder));
   }
   // Connection N+1: one named overloaded line, then EOF.
-  TcpClient extra;
-  ASSERT_TRUE(extra.connect(server.target(), &error)) << error;
+  LineClient extra;
+  ASSERT_TRUE(server.connect(extra, &error)) << error;
   ASSERT_TRUE(extra.recv_line(&line));
   EXPECT_NE(line.find("\"error\":\"overloaded\""), std::string::npos);
   EXPECT_FALSE(extra.recv_line(&line));
-  // Drop the holders: the gauge returns to zero and a new client is
-  // admitted again.
-  for (auto& holder : holders) holder->close();
-  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.tcp.active", 0));
-  TcpClient after;
-  ASSERT_TRUE(after.connect(server.target(), &error)) << error;
-  ASSERT_TRUE(after.send_line("{\"op\":\"ping\"}"));
-  ASSERT_TRUE(after.recv_line(&line));
-  EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
-
+  // Drop one holder and keep the other, so exactly one slot is free. A
+  // slot frees the instant its connection ends, so once the active gauge
+  // reads 1 (the remaining holder) the next client MUST be admitted, round
+  // after round: a closed connection that kept its slot for a while would
+  // be shed here.
+  holders[1]->close();
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(wait_for_gauge(server.service(), "serve.conns.active", 1))
+        << "round " << round;
+    LineClient next;
+    ASSERT_TRUE(server.connect(next, &error)) << error;
+    ASSERT_TRUE(next.send_line(R"({"op":"ping"})"));
+    ASSERT_TRUE(next.recv_line(&line)) << "round " << round;
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos)
+        << "round " << round << ": " << line;
+  }
+  // A `shutdown` op ends the loop; every count is exact.
+  holders[0]->close();
+  ASSERT_TRUE(wait_for_gauge(server.service(), "serve.conns.active", 0));
+  LineClient closer;
+  ASSERT_TRUE(server.connect(closer, &error)) << error;
+  ASSERT_TRUE(closer.send_line(R"({"op":"shutdown"})"));
+  ASSERT_TRUE(closer.recv_line(&line));
+  ASSERT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  server.join();
   const obs::MetricsSnapshot snapshot = server.service().metrics_snapshot();
-  EXPECT_EQ(snapshot.counter_or("serve.tcp.shed"), 1u);
-  EXPECT_GE(snapshot.counter_or("serve.tcp.accepted"), 3u);
-  server.stop();
-  EXPECT_EQ(server.service().metrics_snapshot().gauge_or("serve.tcp.active"),
-            0);
+  EXPECT_EQ(snapshot.counter_or("serve.conns.accepted"), 23u);  // 2+20+1
+  EXPECT_EQ(snapshot.counter_or("serve.conns.shed"), 1u);
+  EXPECT_EQ(snapshot.gauge_or("serve.conns.active"), 0);
 }
 
-TEST(TcpTransport, StatsOpCoversTheTcpSection) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
-  TcpTestServer server(small_service(1), TcpOptions{});
-  TcpClient client;
+TEST_P(LoopTransport, ShedIsCountedInTheWatchdogsSheds) {
+  TcpOptions options;
+  options.max_connections = 1;
+  options.monitor_interval_ms = 0;  // the test ticks the watchdog itself
+  LoopTestServer server(GetParam(), small_service(1), options);
+  Service& service = server.service();
+  service.monitor_tick();  // baseline point
+  LineClient holder;
+  LineClient extra;
   std::string error;
-  ASSERT_TRUE(client.connect(server.target(), &error)) << error;
+  std::string line;
+  ASSERT_TRUE(server.connect(holder, &error)) << error;
+  ASSERT_TRUE(holder.send_line(R"({"op":"ping"})"));
+  ASSERT_TRUE(holder.recv_line(&line));
+  ASSERT_TRUE(server.connect(extra, &error)) << error;
+  ASSERT_TRUE(extra.recv_line(&line));
+  EXPECT_NE(line.find("\"error\":\"overloaded\""), std::string::npos);
+  ASSERT_TRUE(wait_for_counter(service, "serve.conns.shed", 1));
+  service.monitor_tick();
+  EXPECT_EQ(service.watchdog().ring().back().sheds, 1u);
+}
+
+TEST_P(LoopTransport, StatsOpCoversTheConnsSection) {
+  LoopTestServer server(GetParam(), small_service(1));
+  LineClient client;
+  std::string error;
+  ASSERT_TRUE(server.connect(client, &error)) << error;
   std::string line;
   ASSERT_TRUE(client.send_line("{\"op\":\"ping\"}"));
   ASSERT_TRUE(client.recv_line(&line));
@@ -410,23 +567,22 @@ TEST(TcpTransport, StatsOpCoversTheTcpSection) {
   ASSERT_TRUE(client.recv_line(&line));
   const std::optional<Json> document = json_parse(line);
   ASSERT_TRUE(document.has_value()) << line;
-  const Json* tcp = document->find("tcp");
-  ASSERT_NE(tcp, nullptr) << line;
+  EXPECT_EQ(document->find("tcp"), nullptr) << line;
+  const Json* conns = document->find("conns");
+  ASSERT_NE(conns, nullptr) << line;
   for (const char* key : {"accepted", "shed", "idle_reaped", "active",
                           "read_buf_highwater", "write_buf_highwater"})
-    ASSERT_NE(tcp->find(key), nullptr) << key;
-  EXPECT_EQ(tcp->find("accepted")->as_number(), 1.0);
-  EXPECT_EQ(tcp->find("active")->as_number(), 1.0);
-  EXPECT_GT(tcp->find("read_buf_highwater")->as_number(), 0.0);
+    ASSERT_NE(conns->find(key), nullptr) << key;
+  EXPECT_EQ(conns->find("accepted")->as_number(), 1.0);
+  EXPECT_EQ(conns->find("active")->as_number(), 1.0);
+  EXPECT_GT(conns->find("read_buf_highwater")->as_number(), 0.0);
 }
 
-TEST(TcpTransport, ShutdownOpAnswersDrainsAndExits) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
-  TcpTestServer server(small_service(1), TcpOptions{});
-  TcpClient client;
+TEST_P(LoopTransport, ShutdownOpAnswersDrainsAndExits) {
+  LoopTestServer server(GetParam(), small_service(1));
+  LineClient client;
   std::string error;
-  ASSERT_TRUE(client.connect(server.target(), &error)) << error;
+  ASSERT_TRUE(server.connect(client, &error)) << error;
   // A solve queued before the shutdown op must still be answered, in
   // order, before the connection closes.
   ASSERT_TRUE(client.send_line(
@@ -439,16 +595,14 @@ TEST(TcpTransport, ShutdownOpAnswersDrainsAndExits) {
   ASSERT_TRUE(client.recv_line(&line));
   EXPECT_NE(line.find("\"op\":\"shutdown\""), std::string::npos);
   EXPECT_FALSE(client.recv_line(&line));  // server closed after the drain
-  server.stop();  // the loop already exited; this only joins
+  server.join();  // the shutdown op ended the loop
 }
 
-TEST(TcpTransport, ShutdownDrainsLiveSessionsInOrder) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
-  TcpTestServer server(small_service(2), TcpOptions{});
-  TcpClient client;
+TEST_P(LoopTransport, ShutdownDrainsLiveSessionsInOrder) {
+  LoopTestServer server(GetParam(), small_service(2));
+  LineClient client;
   std::string error;
-  ASSERT_TRUE(client.connect(server.target(), &error)) << error;
+  ASSERT_TRUE(server.connect(client, &error)) << error;
   // A live session's queued mutations and in-flight snapshot must all be
   // answered, in request order, before the shutdown ack closes the stream.
   ASSERT_TRUE(client.send_line(
@@ -473,77 +627,20 @@ TEST(TcpTransport, ShutdownDrainsLiveSessionsInOrder) {
   ASSERT_TRUE(client.recv_line(&line));
   EXPECT_NE(line.find("\"op\":\"shutdown\""), std::string::npos);
   EXPECT_FALSE(client.recv_line(&line));  // closed after the session drain
-  server.stop();
-}
-
-// ---------------- socket-transport budget race regression ----------------
-
-TEST(ServeSocketBudget, SlotFreesTheInstantAConnectionEnds) {
-  if (!socket_transport_available())
-    GTEST_SKIP() << "no socket transport on this platform";
-  // Regression: the thread-per-connection transport used to gate accepts
-  // on its zombie list, which only shrank on reap ticks — after an abrupt
-  // disconnect a fresh client could be shed although the slot was free.
-  // The shared ConnectionBudget releases in the connection thread itself,
-  // so once the active gauge reads 0 the next client MUST be admitted.
-  const std::string path = ::testing::TempDir() + "msrs_budget_race.sock";
-  Service service(small_service(1));
-  SocketOptions options;
-  options.max_connections = 1;
-  std::thread server([&service, &path, options] {
-    std::string error;
-    EXPECT_EQ(serve_socket(service, path, &error, options), 0) << error;
-  });
-  std::string error;
-  std::string line;
-  {
-    SocketClient first;
-    bool connected = false;
-    for (int i = 0; i < 500 && !connected; ++i) {
-      connected = first.connect(path, &error);
-      if (!connected)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_TRUE(connected) << error;
-    ASSERT_TRUE(first.send_line(R"({"op":"ping"})"));
-    ASSERT_TRUE(first.recv_line(&line));
-  }
-  for (int round = 0; round < 20; ++round) {
-    ASSERT_TRUE(wait_for_gauge(service, "serve.conns.active", 0))
-        << "round " << round;
-    SocketClient next;
-    ASSERT_TRUE(next.connect(path, &error)) << error;
-    ASSERT_TRUE(next.send_line(R"({"op":"ping"})"));
-    ASSERT_TRUE(next.recv_line(&line)) << "round " << round;
-    // With the old zombie-list gate this was an overloaded shed whenever
-    // the reaper had not run yet; the budget makes it impossible.
-    EXPECT_EQ(line.find("\"error\":\"overloaded\""), std::string::npos)
-        << "round " << round;
-    next.close();  // abrupt from the server's poll loop's point of view
-  }
-  SocketClient closer;
-  ASSERT_TRUE(wait_for_gauge(service, "serve.conns.active", 0));
-  ASSERT_TRUE(closer.connect(path, &error)) << error;
-  ASSERT_TRUE(closer.send_line(R"({"op":"shutdown"})"));
-  ASSERT_TRUE(closer.recv_line(&line));
   server.join();
-  EXPECT_EQ(service.metrics_snapshot().counter_or("serve.conns.rejected"),
-            0u);
 }
 
 // ---------------- fan-in acceptance ----------------
 
-TEST(TcpTransport, Sustains256ConcurrentDriverConnections) {
-  if (!tcp_transport_available())
-    GTEST_SKIP() << "no TCP transport on this platform";
+TEST_P(LoopTransport, Sustains256ConcurrentDriverConnections) {
   TcpOptions options;
   options.max_connections = 512;
   ServiceOptions service_options = small_service(4);
   service_options.budget_ms = 5;
-  TcpTestServer server(service_options, options);
+  LoopTestServer server(GetParam(), service_options, options);
 
   DriveOptions drive_options;
-  drive_options.tcp = server.target();
+  server.target(&drive_options);
   drive_options.specs = {"uniform:n=10,m=2,seed=1"};
   drive_options.seeds_per_spec = 8;
   drive_options.requests = 2048;
@@ -557,86 +654,103 @@ TEST(TcpTransport, Sustains256ConcurrentDriverConnections) {
   EXPECT_EQ(report->transport_errors, 0u);
 
   const obs::MetricsSnapshot snapshot = server.service().metrics_snapshot();
-  EXPECT_GE(snapshot.counter_or("serve.tcp.accepted"), 257u);  // +control
-  EXPECT_EQ(snapshot.counter_or("serve.tcp.shed"), 0u);
+  EXPECT_GE(snapshot.counter_or("serve.conns.accepted"), 257u);  // +control
+  EXPECT_EQ(snapshot.counter_or("serve.conns.shed"), 0u);
   server.stop();
-  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.tcp.active", 0));
+  EXPECT_TRUE(wait_for_gauge(server.service(), "serve.conns.active", 0));
+}
+
+TEST_P(LoopTransport, DriveOutlastsTheIdleTimeout) {
+  // An open loop slower than the idle timeout: the server reaps the
+  // driver's connections between requests. The drive must still send
+  // every request and read the cache counters after the run.
+  TcpOptions options;
+  options.idle_timeout_ms = 100;
+  options.tick_ms = 10;
+  LoopTestServer server(GetParam(), small_service(1), options);
+  DriveOptions drive_options;
+  server.target(&drive_options);
+  drive_options.specs = {"uniform:n=10,m=2,seed=1"};
+  drive_options.seeds_per_spec = 1;
+  drive_options.requests = 3;
+  drive_options.qps = 4.0;  // 250 ms between requests
+  std::string error;
+  const std::optional<DriveReport> report = drive(drive_options, &error);
+  ASSERT_TRUE(report.has_value()) << error;
+  EXPECT_EQ(report->ok, 3u);
+  EXPECT_EQ(report->transport_errors, 0u);
+  EXPECT_GE(report->cache_hit_rate, 0.0);
+  EXPECT_GE(server.service().metrics_snapshot().counter_or(
+                "serve.conns.idle_reaped"),
+            2u);
+}
+
+// ---------------- the UNIX listener's socket file ----------------
+
+TEST(UnixListener, StaleFileDoesNotBlockTheBindAndThePathGoesOnExit) {
+  if (!tcp_transport_available())
+    GTEST_SKIP() << "no event-loop transport on this platform";
+  const std::string path = unix_socket_path();
+  std::ofstream(path) << "left behind by a crashed run\n";
+  ASSERT_TRUE(std::filesystem::exists(path));
+  Service service(small_service(1));
+  TcpOptions options;
+  options.tick_ms = 20;
+  std::promise<std::uint16_t> promise;
+  std::future<std::uint16_t> listening = promise.get_future();
+  options.on_listen = [&promise](std::uint16_t p) { promise.set_value(p); };
+  std::thread server([&service, &path, options] {
+    std::string error;
+    EXPECT_EQ(serve_tcp(service, path, "", &error, options), 0) << error;
+  });
+  if (listening.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    server.join();  // setup failed, so the loop has returned
+    FAIL() << "the loop never listened on " << path;
+  }
+  EXPECT_EQ(listening.get(), 0);  // no port for a UNIX listener
+  LineClient client;
+  std::string error;
+  std::string line;
+  ASSERT_TRUE(client.connect(path, "", &error)) << error;
+  ASSERT_TRUE(client.send_line(R"({"op":"shutdown"})"));
+  ASSERT_TRUE(client.recv_line(&line));
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  server.join();
+  EXPECT_FALSE(std::filesystem::exists(path)) << "socket file left behind";
+}
+
+TEST(UnixListener, OverlongPathIsADescriptiveError) {
+  if (!tcp_transport_available())
+    GTEST_SKIP() << "no event-loop transport on this platform";
+  const std::string path =
+      ::testing::TempDir() + std::string(200, 'p') + ".sock";
+  Service service(small_service(1));
+  std::string error;
+  EXPECT_EQ(serve_tcp(service, path, "", &error), 1);
+  EXPECT_NE(error.find("socket path too long"), std::string::npos) << error;
+  LineClient client;
+  error.clear();
+  EXPECT_FALSE(client.connect(path, "", &error));
+  EXPECT_NE(error.find("socket path too long"), std::string::npos) << error;
 }
 
 // ---------------- HTTP exposition listener ----------------
 
-// TcpTestServer plus a second (HTTP) listener on its own ephemeral port.
-class HttpTestServer {
- public:
-  explicit HttpTestServer(ServiceOptions service_options,
-                          TcpOptions options = {})
-      : service_(service_options) {
-    std::promise<std::uint16_t> jsonl_promise, http_promise;
-    std::future<std::uint16_t> jsonl_port = jsonl_promise.get_future();
-    std::future<std::uint16_t> http_port = http_promise.get_future();
-    options.on_listen = [&jsonl_promise](std::uint16_t p) {
-      jsonl_promise.set_value(p);
-    };
-    options.http = "127.0.0.1:0";
-    options.on_http_listen = [&http_promise](std::uint16_t p) {
-      http_promise.set_value(p);
-    };
-    options.tick_ms = 20;
-    thread_ = std::thread([this, options] {
-      std::string error;
-      code_ = serve_tcp(service_, "127.0.0.1:0", &error, options);
-      error_ = error;
-    });
-    jsonl_port_ = jsonl_port.get();
-    http_port_ = http_port.get();
-  }
-
-  ~HttpTestServer() { stop(); }
-
-  void stop() {
-    if (stopped_) return;
-    stopped_ = true;
-    request_stop();
-    thread_.join();
-    reset_stop();
-    EXPECT_EQ(code_, 0) << error_;
-  }
-
-  // Waits for the serve loop to exit on its own (shutdown-op tests).
-  void join() {
-    if (stopped_) return;
-    stopped_ = true;
-    thread_.join();
-    reset_stop();
-    EXPECT_EQ(code_, 0) << error_;
-  }
-
-  std::string jsonl_target() const {
-    return "127.0.0.1:" + std::to_string(jsonl_port_);
-  }
-  std::string http_target() const {
-    return "127.0.0.1:" + std::to_string(http_port_);
-  }
-  Service& service() { return service_; }
-
- private:
-  Service service_;
-  std::thread thread_;
-  std::uint16_t jsonl_port_ = 0;
-  std::uint16_t http_port_ = 0;
-  int code_ = -1;
-  std::string error_;
-  bool stopped_ = false;
-};
+// A TCP loop with the HTTP listener on its own ephemeral port.
+TcpOptions with_http(TcpOptions options = {}) {
+  options.http = "127.0.0.1:0";
+  return options;
+}
 
 // One full HTTP exchange: sends raw bytes, reads to EOF (every route body
 // is newline-terminated, so a line-wise read loses nothing). Empty string
 // when the connection was refused.
 std::string http_exchange(const std::string& target,
                           const std::string& request) {
-  TcpClient client;
+  LineClient client;
   std::string error;
-  if (!client.connect(target, &error)) return "";
+  if (!client.connect("", target, &error)) return "";
   if (!client.send_bytes(request.data(), request.size())) return "";
   std::string out, line;
   while (client.recv_line(&line)) {
@@ -654,12 +768,12 @@ std::string http_get(const std::string& target, const std::string& path) {
 TEST(HttpListener, ServesMetricsHealthzAndRecorderMidRun) {
   if (!tcp_transport_available())
     GTEST_SKIP() << "no TCP transport on this platform";
-  HttpTestServer server(small_service(2));
+  LoopTestServer server(AddressFamily::kTcp, small_service(2), with_http());
 
   // Real JSONL traffic on the sibling listener first.
-  TcpClient client;
+  LineClient client;
   std::string error;
-  ASSERT_TRUE(client.connect(server.jsonl_target(), &error)) << error;
+  ASSERT_TRUE(server.connect(client, &error)) << error;
   std::string response;
   ASSERT_TRUE(client.send_line(
       R"({"id":1,"op":"solve","spec":"uniform:n=14,m=3,seed=4"})"));
@@ -694,7 +808,7 @@ TEST(HttpListener, ServesMetricsHealthzAndRecorderMidRun) {
 TEST(HttpListener, AnswersProtocolDefectsWithoutDying) {
   if (!tcp_transport_available())
     GTEST_SKIP() << "no TCP transport on this platform";
-  HttpTestServer server(small_service(1));
+  LoopTestServer server(AddressFamily::kTcp, small_service(1), with_http());
   EXPECT_NE(http_get(server.http_target(), "/nope").find("HTTP/1.1 404"),
             std::string::npos);
   EXPECT_NE(http_exchange(server.http_target(),
@@ -715,19 +829,44 @@ TEST(HttpListener, AnswersProtocolDefectsWithoutDying) {
   server.stop();
 }
 
+TEST(HttpListener, ScrapesCountAgainstTheConnectionBudget) {
+  if (!tcp_transport_available())
+    GTEST_SKIP() << "no TCP transport on this platform";
+  TcpOptions options;
+  options.max_connections = 1;
+  LoopTestServer server(AddressFamily::kTcp, small_service(1),
+                        with_http(options));
+  LineClient client;
+  std::string error;
+  std::string line;
+  ASSERT_TRUE(server.connect(client, &error)) << error;
+  ASSERT_TRUE(client.send_line(R"({"op":"ping"})"));
+  ASSERT_TRUE(client.recv_line(&line));
+  // The one slot is taken by the JSONL client: a scrape is shed with a
+  // framed 503 (read before sending a request, so the close is a FIN).
+  LineClient scrape;
+  ASSERT_TRUE(scrape.connect("", server.http_target(), &error)) << error;
+  std::string shed;
+  while (scrape.recv_line(&line)) shed += line + "\n";
+  EXPECT_NE(shed.find("HTTP/1.1 503"), std::string::npos) << shed;
+  EXPECT_NE(shed.find("overloaded"), std::string::npos) << shed;
+  client.close();
+  server.stop();
+}
+
 TEST(HttpListener, HealthzReports503WhileDraining) {
   if (!tcp_transport_available())
     GTEST_SKIP() << "no TCP transport on this platform";
   ServiceOptions service_options = small_service(1);
   service_options.budget_ms = 60;  // slow enough to observe the drain
-  HttpTestServer server(service_options);
+  LoopTestServer server(AddressFamily::kTcp, service_options, with_http());
 
   // Queue several distinct slow solves, then ask for shutdown without
   // reading the solve responses: the service drains while the HTTP
   // listener keeps answering.
-  TcpClient worker;
+  LineClient worker;
   std::string error;
-  ASSERT_TRUE(worker.connect(server.jsonl_target(), &error)) << error;
+  ASSERT_TRUE(server.connect(worker, &error)) << error;
   for (int seed = 1; seed <= 6; ++seed)
     ASSERT_TRUE(worker.send_line(
         R"({"op":"solve","budget_ms":60,"spec":"huge_heavy:n=2000,m=16,seed=)" +
@@ -736,8 +875,8 @@ TEST(HttpListener, HealthzReports503WhileDraining) {
   std::string first;
   ASSERT_TRUE(worker.recv_line(&first));
   EXPECT_NE(first.find("\"ok\":true"), std::string::npos);
-  TcpClient closer;
-  ASSERT_TRUE(closer.connect(server.jsonl_target(), &error)) << error;
+  LineClient closer;
+  ASSERT_TRUE(server.connect(closer, &error)) << error;
   ASSERT_TRUE(closer.send_line(R"({"op":"shutdown"})"));
 
   // Poll /healthz until the drain window reports 503 (or the loop exits,

@@ -53,7 +53,6 @@ CLOCK_ALLOWLIST = (
     "perf/runner.hpp",
     "perf/runner.cpp",
     "serve/tcp.cpp",
-    "serve/socket.cpp",
     "serve/driver.cpp",
     "serve/transport.cpp",
     "serve/event_loop.hpp",

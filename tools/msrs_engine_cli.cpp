@@ -6,8 +6,8 @@
 //   generate      emit a corpus of generated instances (instance_io text)
 //   sweep         expand a sweep grid, solve it, print a per-cell report
 //   bench         run perf-harness cases / bench a generated corpus
-//   serve         long-running scheduling service (stdio, UNIX socket or
-//                 TCP event loop)
+//   serve         long-running scheduling service (stdio, or an event loop
+//                 on a UNIX socket or TCP)
 //   drive         load driver: replay generated corpora against a service
 //   stats         one-shot `stats` op against a running service
 //   version       schema versions (instance / bench / wire formats)
@@ -70,7 +70,7 @@ struct Options {
   // serve / drive
   std::string socket;              // UNIX socket path ("" = stdio serve)
   std::string tcp;                 // TCP HOST:PORT target ("" = off)
-  std::size_t idle_timeout_ms = 60'000;  // serve --tcp: idle reap bound
+  std::size_t idle_timeout_ms = 60'000;  // serve: idle reap bound
   std::string port_file;  // serve --tcp: write bound HOST:PORT here
   unsigned shards = 4;             // serve: worker shards
   std::size_t queue_depth = 1024;  // serve: per-shard admission bound
@@ -91,7 +91,7 @@ struct Options {
   double slow_ms = 1000.0;        // serve: slow-request log threshold
   std::string metrics_dump;       // serve: Prometheus page at exit
                                   // ("" = off, "-" = stderr)
-  std::size_t max_conns = 256;    // serve: socket connection budget
+  std::size_t max_conns = 256;    // serve: live-connection budget
   double stats_interval = 0.0;    // drive: mid-run stats poll period, s
   // serve observability (docs/observability.md)
   std::string http;            // serve: HTTP exposition HOST:PORT ("" = off)
@@ -171,11 +171,13 @@ void print_usage(std::FILE* to) {
                " [--watchdog-queue=N]\n"
                "        [--watchdog-interval=S] [--watchdog-dump=FILE]\n"
                "      Long-running scheduling service: JSONL requests on"
-               " stdin (default), a\n"
-               "      UNIX socket, or TCP (epoll event loop; --tcp port 0"
-               " picks an ephemeral\n"
-               "      port, --port-file records it; --idle-timeout reaps"
-               " silent connections);\n"
+               " stdin (default), or\n"
+               "      on one epoll event loop listening on a UNIX socket or"
+               " TCP (--tcp port 0\n"
+               "      picks an ephemeral port, --port-file records it);"
+               " --max-conns sheds\n"
+               "      connections past the budget, --idle-timeout reaps"
+               " silent ones;\n"
                "      one response line per request, in request order."
                " --reject\n"
                "      sheds load with 'overloaded' errors instead of"
@@ -715,7 +717,8 @@ int run_serve(const Options& options) {
           : 0;
   if (options.socket.empty() && options.tcp.empty()) {
     // stdio serve with --http: the exposition listener runs its own
-    // event loop on a helper thread while the main thread owns stdio.
+    // event loop on a helper thread while the main thread owns stdio
+    // (epoll cannot poll a regular-file stdin).
     std::thread http_thread;
     if (!options.http.empty()) {
       http_thread = std::thread([&] {
@@ -724,7 +727,7 @@ int run_serve(const Options& options) {
         http_options.on_http_listen = http_port_writer(options);
         http_options.monitor_interval_ms = monitor_interval_ms;
         std::string http_error;
-        if (serve::serve_tcp(service, "", &http_error, http_options) != 0)
+        if (serve::serve_tcp(service, "", "", &http_error, http_options) != 0)
           std::fprintf(stderr, "serve: http: %s\n", http_error.c_str());
       });
     }
@@ -737,59 +740,40 @@ int run_serve(const Options& options) {
       dump_metrics(service, options.metrics_dump);
     return code;
   }
+  // --tcp or --socket: one event loop on this thread (--tcp wins).
+  serve::TcpOptions loop_options;
+  loop_options.max_connections = options.max_conns;
+  loop_options.idle_timeout_ms = options.idle_timeout_ms;
+  loop_options.http = options.http;
+  loop_options.on_http_listen = http_port_writer(options);
+  loop_options.monitor_interval_ms = monitor_interval_ms;
+  loop_options.on_listen = [&options, &service](std::uint16_t port) {
+    if (options.tcp.empty()) {
+      std::fprintf(stderr, "serving on %s (%u shards, depth %zu, cache %zu)\n",
+                   options.socket.c_str(), service.shards(),
+                   options.queue_depth, options.serve_cache);
+      return;
+    }
+    std::string host = options.tcp;
+    const std::size_t colon = host.rfind(':');
+    if (colon != std::string::npos) host.resize(colon);
+    std::fprintf(stderr, "serving on tcp %s:%u (%u shards)\n", host.c_str(),
+                 static_cast<unsigned>(port), options.shards);
+    if (options.port_file.empty()) return;
+    // The bound HOST:PORT, for scripts that serve on an ephemeral port.
+    std::ofstream file(options.port_file);
+    file << host << ':' << port << '\n';
+  };
   std::string error;
-  int code = 0;
-  if (!options.tcp.empty()) {
-    serve::TcpOptions tcp_options;
-    tcp_options.max_connections = options.max_conns;
-    tcp_options.idle_timeout_ms = options.idle_timeout_ms;
-    tcp_options.http = options.http;
-    tcp_options.on_http_listen = http_port_writer(options);
-    tcp_options.monitor_interval_ms = monitor_interval_ms;
-    tcp_options.on_listen = [&options](std::uint16_t port) {
-      std::string host = options.tcp;
-      const std::size_t colon = host.rfind(':');
-      if (colon != std::string::npos) host.resize(colon);
-      std::fprintf(stderr, "serving on tcp %s:%u (%u shards)\n", host.c_str(),
-                   static_cast<unsigned>(port), options.shards);
-      if (options.port_file.empty()) return;
-      // The bound HOST:PORT, for scripts that serve on an ephemeral port.
-      std::ofstream file(options.port_file);
-      file << host << ':' << port << '\n';
-    };
-    code = serve::serve_tcp(service, options.tcp, &error, tcp_options);
-  } else {
-    std::fprintf(stderr, "serving on %s (%u shards, depth %zu, cache %zu)\n",
-                 options.socket.c_str(), service.shards(),
-                 options.queue_depth, options.serve_cache);
-    std::thread http_thread;
-    if (!options.http.empty()) {
-      http_thread = std::thread([&] {
-        serve::TcpOptions http_options;
-        http_options.http = options.http;
-        http_options.on_http_listen = http_port_writer(options);
-        http_options.monitor_interval_ms = monitor_interval_ms;
-        std::string http_error;
-        if (serve::serve_tcp(service, "", &http_error, http_options) != 0)
-          std::fprintf(stderr, "serve: http: %s\n", http_error.c_str());
-      });
-    }
-    serve::SocketOptions socket_options;
-    socket_options.max_connections = options.max_conns;
-    code = serve::serve_socket(service, options.socket, &error,
-                               socket_options);
-    if (http_thread.joinable()) {
-      serve::request_stop();
-      http_thread.join();
-    }
-  }
+  const int code = serve::serve_tcp(service, options.socket, options.tcp,
+                                    &error, loop_options);
   if (code != 0) std::fprintf(stderr, "serve: %s\n", error.c_str());
   if (!options.metrics_dump.empty())
     dump_metrics(service, options.metrics_dump);
   return code;
 }
 
-// One-shot `stats` op against a running socket service; prints the
+// One-shot `stats` op against a running service; prints the
 // pretty-printed stats document (queue depths, error/solver breakdowns,
 // latency decomposition).
 int run_stats(const Options& options) {
