@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
+#include <vector>
 
 #include "algo/greedy.hpp"
 #include "core/lower_bounds.hpp"
@@ -25,19 +25,13 @@ AlgoResult merge_lpt(const Instance& instance) {
     return a < b;
   });
 
-  // min-heap of (load, machine)
-  using Entry = std::pair<Time, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (int k = 0; k < instance.machines(); ++k) heap.emplace(0, k);
-
-  for (ClassId c : classes) {
-    auto [load, machine] = heap.top();
-    heap.pop();
-    const Time end =
-        place_block(instance, result.schedule, instance.class_jobs(c), machine,
-                    load);
-    heap.emplace(end, machine);
-  }
+  MachineHeap machines;
+  machines.reset(instance.machines());
+  for (ClassId c : classes)
+    machines.occupy_top(place_block(instance, result.schedule,
+                                    instance.class_jobs(c),
+                                    machines.top_machine(),
+                                    machines.top_free()));
   return result;
 }
 
@@ -51,55 +45,57 @@ AlgoResult hebrard_insertion(const Instance& instance) {
   // class with maximum remaining load ("chooses jobs based on their size
   // and the size of the remaining jobs in their class"), placed at the
   // earliest feasible start. Re-evaluating after every placement
-  // interleaves the heavy classes instead of serializing them.
-  std::vector<Time> remaining(static_cast<std::size_t>(instance.num_classes()));
-  std::vector<std::vector<JobId>> queue(
-      static_cast<std::size_t>(instance.num_classes()));
+  // interleaves the heavy classes instead of serializing them. A
+  // placement changes only its own class's key, so popping the top class,
+  // placing its job and pushing it back keeps the class heap exact.
+  struct ClassEntry {
+    Time remaining;  // load of the class's unscheduled jobs
+    Time free;       // when the class's resource is released
+    ClassId id;
+    std::int32_t next;  // the class's next job in `jobs`
+    std::int32_t end;   // one past its last job
+  };
+  // Max-heap order: most remaining load, then earliest release (so
+  // machines do not starve), then lowest id.
+  const auto lower_priority = [](const ClassEntry& a, const ClassEntry& b) {
+    if (a.remaining != b.remaining) return a.remaining < b.remaining;
+    if (a.free != b.free) return a.free > b.free;
+    return a.id > b.id;
+  };
+
+  // Every class's jobs, largest first, in one flat buffer.
+  std::vector<JobId> jobs;
+  jobs.reserve(static_cast<std::size_t>(instance.num_jobs()));
+  std::vector<ClassEntry> classes;
+  classes.reserve(static_cast<std::size_t>(instance.num_classes()));
   for (ClassId c = 0; c < instance.num_classes(); ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    remaining[ci] = instance.class_load(c);
-    queue[ci] = instance.class_jobs(c);
-    std::sort(queue[ci].begin(), queue[ci].end(), [&](JobId a, JobId b) {
+    const std::vector<JobId>& members = instance.class_jobs(c);
+    if (members.empty()) continue;
+    const auto begin = static_cast<std::int32_t>(jobs.size());
+    jobs.insert(jobs.end(), members.begin(), members.end());
+    std::sort(jobs.begin() + begin, jobs.end(), [&](JobId a, JobId b) {
       return instance.size(a) > instance.size(b);
     });
+    classes.push_back({instance.class_load(c), 0, c, begin,
+                       static_cast<std::int32_t>(jobs.size())});
   }
-  std::vector<Time> machine_free(static_cast<std::size_t>(instance.machines()),
-                                 0);
-  std::vector<Time> class_free(static_cast<std::size_t>(instance.num_classes()),
-                               0);
-  std::vector<std::size_t> next_in_class(
-      static_cast<std::size_t>(instance.num_classes()), 0);
+  std::make_heap(classes.begin(), classes.end(), lower_priority);
+  MachineHeap machines;
+  machines.reset(instance.machines());
 
-  for (int placed = 0; placed < instance.num_jobs(); ++placed) {
-    // Class with maximum remaining load; break ties towards the earlier
-    // resource release so machines do not starve.
-    ClassId best_class = kInvalidClass;
-    for (ClassId c = 0; c < instance.num_classes(); ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      if (next_in_class[ci] >= queue[ci].size()) continue;
-      if (best_class == kInvalidClass ||
-          remaining[ci] > remaining[static_cast<std::size_t>(best_class)] ||
-          (remaining[ci] == remaining[static_cast<std::size_t>(best_class)] &&
-           class_free[ci] < class_free[static_cast<std::size_t>(best_class)]))
-        best_class = c;
-    }
-    const auto ci = static_cast<std::size_t>(best_class);
-    const JobId j = queue[ci][next_in_class[ci]++];
-
-    std::size_t best = 0;
-    Time best_start = std::max(machine_free[0], class_free[ci]);
-    for (std::size_t k = 1; k < machine_free.size(); ++k) {
-      const Time start = std::max(machine_free[k], class_free[ci]);
-      if (start < best_start ||
-          (start == best_start && machine_free[k] < machine_free[best])) {
-        best = k;
-        best_start = start;
-      }
-    }
-    result.schedule.assign(j, static_cast<int>(best), best_start);
-    machine_free[best] = best_start + instance.size(j);
-    class_free[ci] = best_start + instance.size(j);
-    remaining[ci] -= instance.size(j);
+  while (!classes.empty()) {
+    std::pop_heap(classes.begin(), classes.end(), lower_priority);
+    ClassEntry& cls = classes.back();
+    const JobId j = jobs[static_cast<std::size_t>(cls.next++)];
+    const Time start = std::max(machines.top_free(), cls.free);
+    result.schedule.assign(j, machines.top_machine(), start);
+    cls.free = start + instance.size(j);
+    cls.remaining -= instance.size(j);
+    machines.occupy_top(cls.free);
+    if (cls.next < cls.end)
+      std::push_heap(classes.begin(), classes.end(), lower_priority);
+    else
+      classes.pop_back();
   }
   return result;
 }

@@ -18,11 +18,19 @@
 
 namespace msrs {
 
-/// Strusevich-style class merging + LPT.
+/// Strusevich-style class merging + LPT: classes by load (desc, then id),
+/// each as one block on the machine that frees first (ties: lowest
+/// index). O(n + |C| log |C| + |C| log m).
 AlgoResult merge_lpt(const Instance& instance);
 
 /// Hebrard-style priority insertion (classes by remaining load, jobs by
-/// size).
+/// size). Each step takes the largest unscheduled job of the class with
+/// the most remaining load; ties go to the class whose resource is
+/// released earliest, then to the lowest class id. Equal-size jobs of a
+/// class keep the order std::sort gives them by size alone. The job starts
+/// on the machine that frees first (ties: lowest index), at the later of
+/// that machine's and its class's free time. O(n log n): a class max-heap
+/// and a MachineHeap (algo/common.hpp), O(log |C| + log m) per job.
 AlgoResult hebrard_insertion(const Instance& instance);
 
 }  // namespace msrs

@@ -4,6 +4,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
@@ -55,6 +56,53 @@ inline Time block_length(const Instance& instance, const Schedule& schedule,
   for (JobId j : jobs) total += checked_mul(instance.size(j), schedule.scale());
   return total;
 }
+
+/// The earliest-free machine in O(log m) per placement: a binary min-heap
+/// of (free time, machine index). Ties on free time go to the lowest index,
+/// and every key ends in a distinct index, so the sequence of machines it
+/// hands out is fully determined. The greedy rungs (list_schedule,
+/// merge_lpt, hebrard_insertion) all place through it. reset() reuses the
+/// buffer, so a reused heap is allocation-free in steady state.
+class MachineHeap {
+ public:
+  /// All `machines` machines free at time 0 (sorted keys form a heap).
+  void reset(int machines) {
+    heap_.resize(static_cast<std::size_t>(machines));
+    for (int k = 0; k < machines; ++k)
+      heap_[static_cast<std::size_t>(k)] = {0, k};
+  }
+
+  /// The machine that frees first.
+  int top_machine() const { return heap_.front().machine; }
+  /// When top_machine() frees.
+  Time top_free() const { return heap_.front().free; }
+
+  /// Keeps top_machine() busy until `free` (never earlier than
+  /// top_free()), then restores heap order by one sift-down.
+  void occupy_top(Time free) {
+    const Entry moving{free, heap_.front().machine};
+    const std::size_t size = heap_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
+      if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], moving)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = moving;
+  }
+
+ private:
+  struct Entry {
+    Time free;
+    int machine;
+  };
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.free != b.free) return a.free < b.free;
+    return a.machine < b.machine;
+  }
+  std::vector<Entry> heap_;
+};
 
 /// The trivial schedule used when m >= |C|: one machine per class
 /// (paper, Note 1 discussion). Scale 1, makespan = max_c p(c).

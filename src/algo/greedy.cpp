@@ -13,7 +13,7 @@ namespace {
 // serves its whole instance stream without re-allocating these.
 struct ListScratch {
   std::vector<JobId> order;
-  std::vector<Time> machine_free;
+  MachineHeap machines;
   std::vector<Time> class_free;
 };
 
@@ -68,30 +68,21 @@ AlgoResult list_schedule(const Instance& instance, ListPriority priority) {
 
   ListScratch& scratch = t_scratch;
   priority_order_into(instance, priority, scratch.order);
-  scratch.machine_free.assign(static_cast<std::size_t>(instance.machines()),
-                              0);
+  scratch.machines.reset(instance.machines());
   scratch.class_free.assign(static_cast<std::size_t>(instance.num_classes()),
                             0);
-  std::vector<Time>& machine_free = scratch.machine_free;
+  MachineHeap& machines = scratch.machines;
   std::vector<Time>& class_free = scratch.class_free;
 
   for (JobId j : scratch.order) {
     const auto c = static_cast<std::size_t>(instance.job_class(j));
-    // Earliest feasible start over machines (resource-aware); ties broken
-    // towards the machine that frees up first, then lower index.
-    std::size_t best = 0;
-    Time best_start = std::max(machine_free[0], class_free[c]);
-    for (std::size_t k = 1; k < machine_free.size(); ++k) {
-      const Time start = std::max(machine_free[k], class_free[c]);
-      if (start < best_start ||
-          (start == best_start && machine_free[k] < machine_free[best])) {
-        best = k;
-        best_start = start;
-      }
-    }
-    result.schedule.assign(j, static_cast<int>(best), best_start);
-    machine_free[best] = best_start + instance.size(j);
-    class_free[c] = best_start + instance.size(j);
+    // The machine that frees first also gives the earliest feasible start
+    // max(free, class_free[c]): no other machine starts sooner, or as soon
+    // on an earlier free time, or on the same free time at a lower index.
+    const Time start = std::max(machines.top_free(), class_free[c]);
+    result.schedule.assign(j, machines.top_machine(), start);
+    class_free[c] = start + instance.size(j);
+    machines.occupy_top(class_free[c]);
   }
   return result;
 }

@@ -18,10 +18,12 @@ enum class ListPriority {
 };
 
 /// Schedules jobs one by one in priority order. Each job starts at
-/// max(min_k machine_free[k], class_free[class]) on a machine attaining the
-/// earliest such start. Resource conflicts are avoided by construction.
-/// Allocation-free in steady state (per-thread scratch buffers; see
-/// docs/benchmarking.md).
+/// max(min_k machine_free[k], class_free[class]) on the machine that frees
+/// first; ties on free time go to the lowest machine index. That machine
+/// attains the earliest feasible start, so resource conflicts are avoided
+/// by construction. O(n log n): the priority sort, then O(log m) per job
+/// on a MachineHeap (algo/common.hpp). Allocation-free in steady state
+/// (per-thread scratch buffers; see docs/benchmarking.md).
 AlgoResult list_schedule(const Instance& instance, ListPriority priority);
 
 /// Returns the job order used by `list_schedule` (exposed for tests).

@@ -263,6 +263,17 @@ std::vector<BenchRow> e4_runtime(const Runner& runner, bool full) {
                                [](const Instance& i) { return three_halves(i); }));
     rows.push_back(runtime_row(runner, "merge_lpt", Family::kUniform, jobs, 16,
                                [](const Instance& i) { return merge_lpt(i); }));
+    // The heap-driven heuristics: O(n log n), no per-job machine or class
+    // scan (|C| grows with n here).
+    rows.push_back(runtime_row(runner, "hebrard", Family::kUniform, jobs, 16,
+                               [](const Instance& i) {
+                                 return hebrard_insertion(i);
+                               }));
+    rows.push_back(runtime_row(runner, "list_lpt", Family::kUniform, jobs, 16,
+                               [](const Instance& i) {
+                                 return list_schedule(i,
+                                                      ListPriority::kLptJob);
+                               }));
     // Lemma-9 bound alone (Theorem 7's O(n + m log m) term).
     const Instance& instance = cached_instance(Family::kUniform, jobs, 16);
     BenchRow row;

@@ -105,6 +105,26 @@ TEST(Validate, DetectsUnassignedAndBadMachine) {
   EXPECT_EQ(report.violations.size(), 2u);
 }
 
+TEST(Validate, DetectsNegativeStart) {
+  Instance single = test::make_instance(1, {{3}});
+  Schedule alone(1, 1);
+  alone.assign(0, 0, -1);
+  const auto report = validate(single, alone);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].kind, Violation::Kind::kNegativeStart);
+  EXPECT_EQ(report.violations[0].a, 0);
+
+  // Valid with job 0 at 0; moving it to -1 breaks only that rule.
+  Instance pair = test::make_instance(2, {{2}, {3}});
+  Schedule schedule(2, 1);
+  schedule.assign(0, 0, -1);
+  schedule.assign(1, 1, 0);
+  const auto pair_report = validate(pair, schedule);
+  ASSERT_EQ(pair_report.violations.size(), 1u);
+  EXPECT_EQ(pair_report.violations[0].kind, Violation::Kind::kNegativeStart);
+  EXPECT_EQ(pair_report.violations[0].a, 0);
+}
+
 TEST(Validate, MakespanLimit) {
   Instance instance = test::make_instance(1, {{3}});
   Schedule schedule(1, 1);

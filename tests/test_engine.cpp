@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +14,8 @@
 #include "algo/t_bound.hpp"
 #include "core/validate.hpp"
 #include "engine/engine.hpp"
+#include "golden_answers.hpp"
+#include "sim/generator.hpp"
 #include "sim/workloads.hpp"
 #include "test_support.hpp"
 
@@ -19,21 +24,6 @@ namespace {
 
 Instance tiny_instance() {
   return test::make_instance(3, {{4, 2}, {3, 3}, {5}});
-}
-
-::testing::AssertionResult same_schedule(const Schedule& a, const Schedule& b) {
-  if (a.scale() != b.scale())
-    return ::testing::AssertionFailure()
-           << "scale " << a.scale() << " vs " << b.scale();
-  if (a.num_jobs() != b.num_jobs())
-    return ::testing::AssertionFailure() << "job count differs";
-  for (JobId j = 0; j < a.num_jobs(); ++j) {
-    if (a.machine(j) != b.machine(j) || a.start(j) != b.start(j))
-      return ::testing::AssertionFailure()
-             << "job " << j << ": (" << a.machine(j) << "," << a.start(j)
-             << ") vs (" << b.machine(j) << "," << b.start(j) << ")";
-  }
-  return ::testing::AssertionSuccess();
 }
 
 ::testing::AssertionResult same_results(
@@ -48,7 +38,7 @@ Instance tiny_instance() {
              << b[i].solver;
     if (a[i].t_bound != b[i].t_bound || a[i].valid != b[i].valid)
       return ::testing::AssertionFailure() << "result " << i << " differs";
-    auto schedules = same_schedule(a[i].schedule, b[i].schedule);
+    auto schedules = test::same_schedule(a[i].schedule, b[i].schedule);
     if (!schedules)
       return ::testing::AssertionFailure()
              << "result " << i << ": " << schedules.message();
@@ -218,7 +208,7 @@ TEST(Portfolio, RacingThreadsDoNotChangeTheResult) {
           .solve(instance);
   ASSERT_TRUE(a.valid);
   EXPECT_EQ(a.solver, b.solver);
-  EXPECT_TRUE(same_schedule(a.schedule, b.schedule));
+  EXPECT_TRUE(test::same_schedule(a.schedule, b.schedule));
 }
 
 TEST(Portfolio, EmptyInstanceIsTriviallyValid) {
@@ -261,6 +251,41 @@ TEST(Portfolio, LadderArithmeticStaysBelowTwoToTheSixtyTwoAtTheInputLimits) {
     }
     EXPECT_TRUE(portfolio.solve(*instance).valid) << instance->summary();
   }
+}
+
+// One row of test::kGoldenAnswers: `spec solver makespan t_bound`, the
+// makespan as a reduced fraction when it is not integral.
+std::string golden_row(const CorpusEntry& entry,
+                       const PortfolioResult& result) {
+  const Time makespan = result.schedule.makespan_scaled(entry.instance);
+  const Time divisor = std::gcd(makespan, result.schedule.scale());
+  std::string row = entry.spec.str() + " " + result.solver + " " +
+                    std::to_string(makespan / divisor);
+  if (result.schedule.scale() != divisor)
+    row += "/" + std::to_string(result.schedule.scale() / divisor);
+  return row + " " + std::to_string(result.t_bound);
+}
+
+TEST(GoldenAnswers, DefaultRaceMatchesThePinnedTable) {
+  // Pins the winner, its exact makespan and T on 360 instances, 341 of
+  // them races of several candidates. Equal makespans are common, so the
+  // "registration order breaks ties" contract decides many winners.
+  const std::optional<SweepSpec> sweep = parse_sweep(test::kGoldenSweep);
+  ASSERT_TRUE(sweep.has_value());
+  const PortfolioSolver portfolio;
+  std::istringstream golden(test::kGoldenAnswers);
+  std::string expected;
+  int rows = 0, races = 0;
+  for (const CorpusEntry& entry : make_corpus(*sweep)) {
+    ASSERT_TRUE(std::getline(golden, expected)) << "golden table too short";
+    const PortfolioResult result = portfolio.solve(entry.instance);
+    EXPECT_EQ(golden_row(entry, result), expected);
+    ++rows;
+    if (result.attempts.size() > 1) ++races;
+  }
+  EXPECT_FALSE(std::getline(golden, expected)) << "golden table too long";
+  EXPECT_EQ(rows, 360);
+  EXPECT_EQ(races, 341);
 }
 
 // --- canonical form ----------------------------------------------------------

@@ -513,22 +513,6 @@ NestedForm nested_form(const Instance& instance) {
   return form;
 }
 
-// An isomorphic copy with classes and the jobs inside each class permuted.
-Instance relabel(const Instance& in, Rng& rng) {
-  std::vector<ClassId> classes(static_cast<std::size_t>(in.num_classes()));
-  std::iota(classes.begin(), classes.end(), 0);
-  rng.shuffle(classes);
-  Instance out;
-  out.set_machines(in.machines());
-  for (const ClassId c : classes) {
-    std::vector<Time> sizes;
-    for (const JobId j : in.class_jobs(c)) sizes.push_back(in.size(j));
-    rng.shuffle(sizes);
-    out.add_class(sizes);
-  }
-  return out;
-}
-
 TEST(ShapeDifferential, FlatShapeMatchesCanonicalFormAndTheNestedOracle) {
   Rng rng(424242);
   for (const Family family : kAllFamilies) {
@@ -537,7 +521,8 @@ TEST(ShapeDifferential, FlatShapeMatchesCanonicalFormAndTheNestedOracle) {
           generate(family, n, 4, static_cast<std::uint64_t>(n));
       const engine::CanonicalForm base_form = engine::canonical_form(base);
       for (int variant = 0; variant < 4; ++variant) {
-        const Instance instance = variant == 0 ? base : relabel(base, rng);
+        const Instance instance =
+            variant == 0 ? base : test::relabel(base, rng);
         const engine::CanonicalForm form = engine::canonical_form(instance);
         const NestedForm nested = nested_form(instance);
         std::vector<Time> sizes;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "core/schedule.hpp"
 #include "core/validate.hpp"
 #include "sim/generator.hpp"
+#include "util/rng.hpp"
 
 namespace msrs::test {
 
@@ -33,6 +35,40 @@ inline std::vector<Instance> seed_instances(Family family, int jobs,
   for (CorpusEntry& entry : seed_corpus(base, seeds))
     instances.push_back(std::move(entry.instance));
   return instances;
+}
+
+// An isomorphic copy with classes and the jobs inside each class permuted.
+inline Instance relabel(const Instance& in, Rng& rng) {
+  std::vector<ClassId> classes(static_cast<std::size_t>(in.num_classes()));
+  std::iota(classes.begin(), classes.end(), 0);
+  rng.shuffle(classes);
+  Instance out;
+  out.set_machines(in.machines());
+  for (const ClassId c : classes) {
+    std::vector<Time> sizes;
+    for (const JobId j : in.class_jobs(c)) sizes.push_back(in.size(j));
+    rng.shuffle(sizes);
+    out.add_class(sizes);
+  }
+  return out;
+}
+
+// gtest assertion: both schedules put every job on the same machine at the
+// same start, at the same scale.
+inline ::testing::AssertionResult same_schedule(const Schedule& a,
+                                                const Schedule& b) {
+  if (a.scale() != b.scale())
+    return ::testing::AssertionFailure()
+           << "scale " << a.scale() << " vs " << b.scale();
+  if (a.num_jobs() != b.num_jobs())
+    return ::testing::AssertionFailure() << "job count differs";
+  for (JobId j = 0; j < a.num_jobs(); ++j) {
+    if (a.machine(j) != b.machine(j) || a.start(j) != b.start(j))
+      return ::testing::AssertionFailure()
+             << "job " << j << ": (" << a.machine(j) << "," << a.start(j)
+             << ") vs (" << b.machine(j) << "," << b.start(j) << ")";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // gtest assertion: schedule valid and all jobs done by `limit_num/limit_den`
