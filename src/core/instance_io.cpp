@@ -210,6 +210,10 @@ std::optional<FlatInstance> parse_flat(std::string_view text,
   };
   Scanner in(text);
   FlatInstance flat;
+  // The text holds one instance, and a job size takes at least 2 bytes (a
+  // digit and a separator): one reservation bounded by the input replaces
+  // growing the buffer job by job.
+  flat.sizes.reserve(text.size() / 2);
   const int status = parse_one(in, &flat, error);
   if (status == 0) return fail("empty input: missing 'msrs 1' header");
   if (status < 0) return std::nullopt;

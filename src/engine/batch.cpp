@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -35,61 +35,111 @@ PortfolioResult remap_result(const CanonicalForm& src_form,
   return out;
 }
 
+namespace {
+
+// One class of a shape: its sizes, sorted descending, at [first, first +
+// length). `largest` is first[0] (the lowest Time for an empty class), kept
+// in the record so most rank comparisons settle without reading the sizes.
+struct Run {
+  Time largest;
+  const Time* first;
+  std::int32_t length;
+  std::int32_t entry;  // position of the class in the caller's listing
+};
+
+Run make_run(const Time* first, std::int32_t length, std::int32_t entry) {
+  return Run{length > 0 ? *first : std::numeric_limits<Time>::min(), first,
+             length, entry};
+}
+
+// Heavier shapes first: lexicographically larger size vectors, a proper
+// prefix being the lighter one; equal shapes keep entry order.
+bool heavier(const Run& a, const Run& b) {
+  if (a.largest != b.largest) return a.largest > b.largest;
+  const std::int32_t common = std::min(a.length, b.length);
+  for (std::int32_t i = 1; i < common; ++i)
+    if (a.first[i] != b.first[i]) return a.first[i] > b.first[i];
+  if (a.length != b.length) return a.length > b.length;
+  return a.entry < b.entry;
+}
+
+// Ranks `runs` heaviest first and writes the ranked shape and its key.
+void rank_runs(int machines, std::size_t total, std::vector<Run>& runs,
+               CanonicalShape* shape) {
+  std::sort(runs.begin(), runs.end(), heavier);
+  shape->machines = machines;
+  shape->sizes.clear();
+  shape->sizes.reserve(total);
+  shape->classes.clear();
+  shape->classes.reserve(runs.size());
+  std::uint64_t h = fold(0x6d737273ULL /* "msrs" */,
+                         static_cast<std::uint64_t>(machines));
+  for (const Run& run : runs) {
+    h = fold(h, 0xC1A55EEDULL);  // class separator
+    for (std::int32_t i = 0; i < run.length; ++i) {
+      h = fold(h, static_cast<std::uint64_t>(run.first[i]));
+      shape->sizes.push_back(run.first[i]);
+    }
+    shape->classes.push_back(run.length);
+  }
+  shape->key = h;
+}
+
+// splitmix64's finalizer: a bijective 64-bit mix.
+std::uint64_t mix(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
 std::vector<std::int32_t> rank_shape(int machines, std::span<const Time> sizes,
                                      std::span<const std::int32_t> lengths,
                                      CanonicalShape* shape) {
-  const std::size_t count = lengths.size();
-  std::vector<std::size_t> begin(count + 1, 0);
-  for (std::size_t c = 0; c < count; ++c)
-    begin[c + 1] = begin[c] + static_cast<std::size_t>(lengths[c]);
-  const auto segment = [&](std::int32_t c) {
-    const auto at = static_cast<std::size_t>(c);
-    return sizes.subspan(begin[at], begin[at + 1] - begin[at]);
-  };
-
-  std::vector<std::int32_t> rank(count);
-  std::iota(rank.begin(), rank.end(), 0);
-  std::sort(rank.begin(), rank.end(), [&](std::int32_t a, std::int32_t b) {
-    // Heavier shapes first: lexicographically larger size vectors, a
-    // proper prefix being the lighter one; equal shapes keep entry order.
-    const std::span<const Time> sa = segment(a);
-    const std::span<const Time> sb = segment(b);
-    const std::size_t common = std::min(sa.size(), sb.size());
-    for (std::size_t i = 0; i < common; ++i)
-      if (sa[i] != sb[i]) return sa[i] > sb[i];
-    if (sa.size() != sb.size()) return sa.size() > sb.size();
-    return a < b;
-  });
-
-  shape->machines = machines;
-  shape->sizes.clear();
-  shape->sizes.reserve(sizes.size());
-  shape->classes.clear();
-  shape->classes.reserve(count);
-  std::uint64_t h = fold(0x6d737273ULL /* "msrs" */,
-                         static_cast<std::uint64_t>(machines));
-  for (const std::int32_t c : rank) {
-    h = fold(h, 0xC1A55EEDULL);  // class separator
-    for (const Time p : segment(c)) {
-      h = fold(h, static_cast<std::uint64_t>(p));
-      shape->sizes.push_back(p);
-    }
-    shape->classes.push_back(lengths[static_cast<std::size_t>(c)]);
+  std::vector<Run> runs;
+  runs.reserve(lengths.size());
+  const Time* first = sizes.data();
+  for (std::size_t c = 0; c < lengths.size(); ++c) {
+    runs.push_back(make_run(first, lengths[c], static_cast<std::int32_t>(c)));
+    first += lengths[c];
   }
-  shape->key = h;
+  rank_runs(machines, sizes.size(), runs, shape);
+  std::vector<std::int32_t> rank;
+  rank.reserve(runs.size());
+  for (const Run& run : runs) rank.push_back(run.entry);
   return rank;
 }
 
-CanonicalShape canonical_shape(const FlatInstance& flat) {
-  std::vector<Time> sorted = flat.sizes;
-  auto first = sorted.begin();
-  for (const std::int32_t length : flat.classes) {
+void canonical_shape(const FlatInstance& flat, CanonicalShape* shape) {
+  // Per-thread scratch: a shard ranks one shape after another, so after
+  // the first few requests this allocates nothing.
+  thread_local std::vector<Time> sorted;
+  thread_local std::vector<Run> runs;
+  sorted.assign(flat.sizes.begin(), flat.sizes.end());
+  runs.clear();
+  runs.reserve(flat.classes.size());
+  Time* first = sorted.data();
+  for (std::size_t c = 0; c < flat.classes.size(); ++c) {
+    const std::int32_t length = flat.classes[c];
     std::sort(first, first + length, std::greater<>());
+    runs.push_back(make_run(first, length, static_cast<std::int32_t>(c)));
     first += length;
   }
-  CanonicalShape shape;
-  rank_shape(flat.machines, sorted, flat.classes, &shape);
-  return shape;
+  rank_runs(flat.machines, sorted.size(), runs, shape);
+}
+
+std::uint64_t placement_hash(const FlatInstance& flat) {
+  std::uint64_t classes = 0;
+  const Time* size = flat.sizes.data();
+  for (const std::int32_t length : flat.classes) {
+    std::uint64_t sizes = 0;
+    for (std::int32_t k = 0; k < length; ++k)
+      sizes += mix(static_cast<std::uint64_t>(size[k]) + 0x9e3779b97f4a7c15ULL);
+    size += length;
+    classes += mix(sizes ^ 0xC1A55EEDULL);
+  }
+  return mix(classes + mix(static_cast<std::uint64_t>(flat.machines)));
 }
 
 CanonicalForm canonical_form(const Instance& instance) {

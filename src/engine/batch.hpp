@@ -68,8 +68,20 @@ std::vector<std::int32_t> rank_shape(int machines, std::span<const Time> sizes,
                                      CanonicalShape* shape);
 
 /// The canonical shape of a flat instance listing (O(n log n), no Instance
-/// built): the serving layer's admission key.
-CanonicalShape canonical_shape(const FlatInstance& flat);
+/// built), written into `*shape` reusing its buffers: the serving layer's
+/// cache key, computed on the shard that owns the cache, which keeps one
+/// lookup shape and ranks every cacheable solve into it without allocating.
+void canonical_shape(const FlatInstance& flat, CanonicalShape* shape);
+
+/// The shard placement of a flat instance listing: a commutative sum over
+/// the classes of a commutative sum over each class's sizes, mixed with m.
+/// It depends only on m and the multiset of class size-multisets, so every
+/// relabelling of a shape (classes and the jobs inside each class in any
+/// order) gets the same value. O(n), no sort and no allocation: the serving
+/// layer routes a solve by it, so all relabellings of a shape meet on one
+/// shard, which then computes the canonical_shape() cache key itself.
+/// Distinct shapes may collide; that only puts them on one shard.
+std::uint64_t placement_hash(const FlatInstance& flat);
 
 /// Computes the canonical form of an instance (O(n log n)).
 CanonicalForm canonical_form(const Instance& instance);

@@ -729,28 +729,40 @@ std::vector<BenchRow> e12_generator(const Runner& runner) {
 // Steady-state serving path: a running sharded Service (serve/service.hpp),
 // repeated-corpus traffic submitted as raw JSONL lines, responses counted
 // via the per-request callbacks. One measured op = one full pass over the
-// request list (parse -> flat instance -> canonical shape -> shard queue ->
-// cached response tail -> response bytes). The `steady` rows are prewarmed (every request a cache
-// hit — the serving regime the acceptance gate cares about); `cold` builds
-// a fresh service per op, measuring the dispatch + first-solve path.
+// request list (request scan -> flat instance -> placement -> shard queue
+// -> canonical shape -> cached response tail -> response bytes). The
+// `steady` rows are prewarmed (every request a cache hit — the serving
+// regime the acceptance gate cares about): 64 small shapes on 1 and 4
+// shards, and 64 n=1000 shapes on 1 shard, where admission cost by size
+// shows. `cold` builds a fresh service per op, measuring the dispatch +
+// first-solve path.
 std::vector<BenchRow> e13_serve(const Runner& runner) {
+  // 64 distinct shapes of one generator cell as inline solve lines.
+  const auto corpus_lines = [](int jobs, int machines) {
+    GeneratorSpec spec;
+    spec.family = Family::kUniform;
+    spec.jobs = jobs;
+    spec.machines = machines;
+    std::vector<std::string> out;
+    for (const CorpusEntry& entry : seed_corpus(spec, 64)) {
+      Json request = Json::object();
+      request.set("id", static_cast<std::int64_t>(out.size()));
+      request.set("op", "solve");
+      request.set("instance", to_text(entry.instance));
+      out.push_back(request.str());
+    }
+    return out;
+  };
   // 64 distinct small shapes, the high-QPS serving sweet spot.
-  GeneratorSpec spec;
-  spec.family = Family::kUniform;
-  spec.jobs = 32;
-  spec.machines = 4;
-  std::vector<std::string> lines;
-  for (const CorpusEntry& entry : seed_corpus(spec, 64)) {
-    Json request = Json::object();
-    request.set("id", static_cast<std::int64_t>(lines.size()));
-    request.set("op", "solve");
-    request.set("instance", to_text(entry.instance));
-    lines.push_back(request.str());
-  }
+  constexpr int kJobs = 32;
+  constexpr int kMachines = 4;
+  const std::vector<std::string> small_lines = corpus_lines(kJobs, kMachines);
+  const std::vector<std::string> large_lines = corpus_lines(1000, 16);
 
   // Submits every line and blocks until all responses fired; returns the
   // total response bytes (a determinism probe across shard counts).
-  const auto replay = [&lines](serve::Service& service) {
+  const auto replay = [](serve::Service& service,
+                         const std::vector<std::string>& lines) {
     std::atomic<std::size_t> bytes{0};
     std::atomic<std::size_t> left{lines.size()};
     std::promise<void> all_done;
@@ -765,19 +777,30 @@ std::vector<BenchRow> e13_serve(const Runner& runner) {
   };
 
   std::vector<BenchRow> rows;
-  for (const unsigned shards : {1u, 4u}) {
+  const struct {
+    const char* name;
+    unsigned shards;
+    int jobs, machines;
+    const std::vector<std::string>* lines;
+  } steady[] = {
+      {"steady/t=1", 1, kJobs, kMachines, &small_lines},
+      {"steady/t=4", 4, kJobs, kMachines, &small_lines},
+      {"steady_n1000/t=1", 1, 1000, 16, &large_lines},
+  };
+  for (const auto& config : steady) {
+    const std::vector<std::string>& lines = *config.lines;
     serve::ServiceOptions options;
-    options.shards = shards;
+    options.shards = config.shards;
     options.queue_depth = 1024;
     options.cache_capacity = 1 << 14;
     serve::Service service(options);
-    (void)replay(service);  // prewarm: every measured request is a repeat
+    (void)replay(service, lines);  // prewarm: every measured request repeats
     std::size_t bytes = 0;
     double hit_rate = 0.0;
     BenchRow row;
     row.timing = runner.measure([&] {
       const serve::ServiceStats before = service.stats();
-      bytes = replay(service);
+      bytes = replay(service, lines);
       const serve::ServiceStats after = service.stats();
       const double lookups =
           static_cast<double>((after.cache_hits + after.cache_misses) -
@@ -788,10 +811,10 @@ std::vector<BenchRow> e13_serve(const Runner& runner) {
                            lookups
                      : 0.0;
     });
-    row.name = "steady/t=" + std::to_string(shards);
+    row.name = config.name;
     row.solver = "portfolio";
-    row.jobs = spec.jobs;
-    row.machines = spec.machines;
+    row.jobs = config.jobs;
+    row.machines = config.machines;
     row.counters.emplace_back("requests",
                               static_cast<double>(lines.size()));
     row.counters.emplace_back("hit_rate", hit_rate);
@@ -806,15 +829,15 @@ std::vector<BenchRow> e13_serve(const Runner& runner) {
       serve::ServiceOptions options;
       options.shards = 4;
       serve::Service service(options);
-      bytes = replay(service);
+      bytes = replay(service, small_lines);
       service.shutdown(std::chrono::seconds(30));
     });
     row.name = "cold/t=4";
     row.solver = "portfolio";
-    row.jobs = spec.jobs;
-    row.machines = spec.machines;
+    row.jobs = kJobs;
+    row.machines = kMachines;
     row.counters.emplace_back("requests",
-                              static_cast<double>(lines.size()));
+                              static_cast<double>(small_lines.size()));
     row.counters.emplace_back("resp_bytes", static_cast<double>(bytes));
     rows.push_back(std::move(row));
   }
@@ -856,8 +879,8 @@ std::vector<BenchRow> e13_serve(const Runner& runner) {
     });
     row.name = "tcp_fanin/c=64";
     row.solver = "portfolio";
-    row.jobs = spec.jobs;
-    row.machines = spec.machines;
+    row.jobs = kJobs;
+    row.machines = kMachines;
     row.counters.emplace_back("requests",
                               static_cast<double>(drive_options.requests));
     row.counters.emplace_back("conns",

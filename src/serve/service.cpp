@@ -337,8 +337,8 @@ void Service::submit(const std::string& line, Done done) {
     case Op::kCancelJob:
     case Op::kSnapshot:
     case Op::kCloseSession: {
-      // Session ops route by the session-name hash, not the canonical
-      // form: every op of one session serializes on one shard's FIFO, so
+      // Session ops route by the session-name hash, not the placement
+      // hash: every op of one session serializes on one shard's FIFO, so
       // the owning worker mutates session state shared-nothing and the
       // response stream is a pure function of the session's op order —
       // identical at any shard count.
@@ -432,9 +432,11 @@ void Service::submit(const std::string& line, Done done) {
     }
     item.flat = std::move(*parsed);
   }
-  item.shape = engine::canonical_shape(item.flat);
-  Shard& shard =
-      *shards_[static_cast<std::size_t>(item.shape.key % shards_.size())];
+  // Placement, not the cache key: placement_hash is relabelling-invariant,
+  // so every relabelling of a shape meets on one shard, and that shard
+  // computes the canonical shape itself (process()), off this thread.
+  Shard& shard = *shards_[static_cast<std::size_t>(
+      engine::placement_hash(item.flat) % shards_.size())];
 
   {
     util::MutexLock lock(pending_mutex_);
@@ -526,7 +528,8 @@ void Service::process(Shard& shard, Item& item) {
     cache_value = 2;
     response = solve_response(item.id, result);
     shard.solved.fetch_add(1);
-  } else if (const TailCache::Entry* entry = shard.cache.find(item.shape)) {
+  } else if (engine::canonical_shape(item.flat, &shard.shape);
+             const TailCache::Entry* entry = shard.cache.find(shard.shape)) {
     response = compose_response(item.id, entry->second.tail);
     solver = entry->second.solver;
     cache_state = "hit";
@@ -538,7 +541,7 @@ void Service::process(Shard& shard, Item& item) {
     response = compose_response(item.id, tail);
     solver = result.solver;
     cache_state = "miss";
-    shard.cache.insert(std::move(item.shape),
+    shard.cache.insert(std::move(shard.shape),
                        CachedResult{std::move(tail), std::move(result.solver)});
     shard.solved.fetch_add(1);
   }

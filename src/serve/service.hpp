@@ -6,16 +6,17 @@
 ///   transport line ──> submit(): parse (wire.hpp) ──> non-solve ops are
 ///   answered inline; solve ops parse their instance text in one pass to a
 ///   flat listing (core/instance_io.hpp; a spec is generated, then
-///   flattened), compute its canonical shape (engine/batch.hpp) and are
-///   admitted into the target shard's bounded queue — blocking
-///   (backpressure) or failing with the named `overloaded` error,
-///   per ServiceOptions. Shard = canonical hash % shards, so isomorphic
-///   instances always colocate: each shard owns a PortfolioSolver and a
-///   bounded LRU cache (util/lru.hpp) from shape to rendered response
-///   tail, without cross-shard locks. A hit is one string concatenation;
-///   only a miss (or a `budget_ms` bypass) builds the Instance and races
-///   the portfolio. Shard workers run on a parallel/thread_pool and answer
-///   through the per-request callback.
+///   flattened) and are admitted into the target shard's bounded queue —
+///   blocking (backpressure) or failing with the named `overloaded` error,
+///   per ServiceOptions. Shard = placement_hash % shards (engine/batch.hpp):
+///   an O(n) relabelling-invariant hash, so isomorphic instances always
+///   colocate. Each shard owns a PortfolioSolver and a bounded LRU cache
+///   (util/lru.hpp) from canonical shape to rendered response tail, without
+///   cross-shard locks; the shard computes the canonical shape itself,
+///   just before its cache lookup. A hit is one string concatenation; only
+///   a miss (or a `budget_ms` bypass, which skips the shape) builds the
+///   Instance and races the portfolio. Shard workers run on a
+///   parallel/thread_pool and answer through the per-request callback.
 ///
 /// Session ops (open_session/submit_job/cancel_job/snapshot/close_session)
 /// route by the hash of the session *name* instead: every mutation of one
@@ -201,14 +202,13 @@ class Service {
   struct Item {
     Op op = Op::kSolve;
     Json id;
-    // A solve carries its instance flat and its canonical shape (the cache
-    // key); the Instance is built on the shard, only to solve.
+    // A solve carries its instance flat; the shard computes its canonical
+    // shape (the cache key) and builds the Instance only to solve.
     FlatInstance flat;
-    engine::CanonicalShape shape;
     int budget_ms = 0;  // 0 = service default (cacheable)
     Done done;
     obs::TraceContext trace;  // lifecycle stamps (admission -> write)
-    // Session ops (routed by session-name hash, not canonical form):
+    // Session ops (routed by session-name hash, not placement hash):
     std::string session;
     std::string job_class;  // kSubmitJob
     Time size = 0;          // kSubmitJob
@@ -241,6 +241,9 @@ class Service {
     int index = 0;
     BoundedQueue<Item> queue;
     TailCache cache;  // touched only by the shard worker
+    // The worker's lookup key, ranked in place for every cacheable solve
+    // (moved into the cache on a miss).
+    engine::CanonicalShape shape;
     std::unique_ptr<engine::PortfolioSolver> portfolio;
     obs::Counter* requests = nullptr;  // registry: serve.shard_requests.<i>
     // Snapshots mirrored after every request so stats() never races the

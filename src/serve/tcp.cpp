@@ -271,8 +271,12 @@ struct TcpConn {
   std::unique_ptr<OrderedWriter> writer;
   bool http = false;      // HTTP-listener connection (serve/http.hpp)
   std::string http_buf;   // buffered request head of an HTTP connection
-  bool reading = true;     // read interest armed (false while gated)
-  bool want_write = false;  // write interest armed (partial flush pending)
+  bool reading = true;     // read interest wanted (false while gated)
+  bool want_write = false;  // write interest wanted (partial flush pending)
+  // The interest set the poller holds for fd: flush_conn() calls modify()
+  // only when the wanted set differs from it.
+  bool armed_read = true;
+  bool armed_write = false;
   bool draining = false;   // no more reads; close once responses flush
 
   util::Mutex mutex;
@@ -646,7 +650,10 @@ class TcpServer {
     constexpr std::size_t kHeadBound = 8192;  // heads are a handful of lines
     char chunk[4096];
     bool eof = false;
-    for (;;) {
+    // The bound is checked after every chunk, so one wakeup reads at most
+    // kHeadBound + sizeof chunk bytes: a client streaming an endless head
+    // can neither hold the loop nor grow the buffer past that.
+    while (conn->http_buf.size() <= kHeadBound) {
       const ssize_t got = ::read(conn->fd, chunk, sizeof chunk);
       if (got > 0) {
         conn->http_buf.append(chunk, static_cast<std::size_t>(got));
@@ -663,6 +670,7 @@ class TcpServer {
       close_conn(conn);
       return;
     }
+    note_read_highwater(conn->http_buf.size());
     if (conn->http_buf.size() > kHeadBound) {
       queue_http(conn,
                  http_response(400, "text/plain", "request head too large\n"));
@@ -707,8 +715,9 @@ class TcpServer {
     if (!flush_conn(conn)) close_conn(conn);
   }
 
-  // Writes as much of the outbox as the socket accepts, re-arms interest
-  // and applies read gating. False on a fatal write error (peer gone).
+  // Writes as much of the outbox as the socket accepts, applies read
+  // gating and re-arms interest when it changed. False on a fatal write
+  // error (peer gone).
   bool flush_conn(const std::shared_ptr<TcpConn>& conn) {
     std::size_t pending = 0;
     std::size_t highwater = 0;
@@ -743,7 +752,12 @@ class TcpServer {
       else if (!conn->reading && pending <= options_.write_gate_bytes / 2)
         conn->reading = true;
     }
-    poller_->modify(conn->fd, conn->reading, conn->want_write);
+    if (conn->reading != conn->armed_read ||
+        conn->want_write != conn->armed_write) {
+      poller_->modify(conn->fd, conn->reading, conn->want_write);
+      conn->armed_read = conn->reading;
+      conn->armed_write = conn->want_write;
+    }
     try_finish(conn);
     return true;
   }

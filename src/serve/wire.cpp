@@ -8,20 +8,52 @@
 namespace msrs::serve {
 namespace {
 
+// The request members parse_request() reads: kMemberKeys[k] names member k.
+enum Member : std::size_t {
+  kId,
+  kOp,
+  kCanonical,
+  kWire,
+  kBudgetMs,
+  kSpec,
+  kInstance,
+  kSession,
+  kMachines,
+  kClass,
+  kSize,
+  kJob,
+  kMemberCount,
+};
+constexpr std::string_view kMemberKeys[kMemberCount] = {
+    "id",       "op",      "canonical", "wire",  "budget_ms", "spec",
+    "instance", "session", "machines",  "class", "size",      "job"};
+
 // Reads an integer member; returns false (with a detail message) when the
 // member exists but is not an int-range non-negative integral number (the
 // range check matters: casting an untrusted 3e9 to int is UB).
-bool read_int(const Json& object, const std::string& key, int* out,
+bool read_int(const JsonMember& member, std::string_view key, int* out,
               std::string* detail) {
-  const Json* member = object.find(key);
-  if (member == nullptr) return true;
-  const double v = member->is_number() ? member->as_number() : -1.0;
+  if (!member.found) return true;
+  const double v = member.type == Json::Type::kNumber
+                       ? json_member_number(member)
+                       : -1.0;
   if (v != std::floor(v) || v < 0 || v > 2147483647.0) {
-    if (detail)
-      *detail = "'" + key + "' must be a non-negative 32-bit integer";
+    if (detail) {
+      detail->assign(1, '\'');
+      detail->append(key);
+      detail->append("' must be a non-negative 32-bit integer");
+    }
     return false;
   }
   *out = static_cast<int>(v);
+  return true;
+}
+
+// Reads a string member into *out; false when it exists but is no string.
+bool read_string(const JsonMember& member, std::string* out) {
+  if (!member.found) return true;
+  if (member.type != Json::Type::kString) return false;
+  json_member_string(member, out);
   return true;
 }
 
@@ -52,21 +84,29 @@ std::optional<Request> parse_request(const std::string& line, WireError* code,
     return std::nullopt;
   };
 
+  // One syntax pass over the line locates the members; no tree is built.
+  // The schema checks below then run in a fixed order over those values,
+  // each taken from the member's last occurrence.
   std::string parse_error;
-  std::optional<Json> document = json_parse(line, &parse_error);
-  if (!document) return fail(WireError::kParseError, parse_error);
-  if (!document->is_object())
-    return fail(WireError::kBadRequest, "request is not a JSON object");
-  if (const Json* id = document->find("id"); id != nullptr && id_out)
-    *id_out = *id;
+  JsonMember m[kMemberCount];
+  switch (json_scan_members(line, kMemberKeys, m, &parse_error)) {
+    case JsonScan::kMalformed:
+      return fail(WireError::kParseError, parse_error);
+    case JsonScan::kNotObject:
+      return fail(WireError::kBadRequest, "request is not a JSON object");
+    case JsonScan::kObject:
+      break;
+  }
 
   Request request;
-  if (const Json* id = document->find("id")) request.id = *id;
+  if (m[kId].found) {
+    request.id = *json_parse(m[kId].bytes);  // checked by the scan
+    if (id_out) *id_out = request.id;
+  }
 
-  const Json* op = document->find("op");
-  if (op == nullptr || !op->is_string())
+  std::string name;
+  if (!m[kOp].found || !read_string(m[kOp], &name))
     return fail(WireError::kBadRequest, "missing string member 'op'");
-  const std::string& name = op->as_string();
   if (name == "solve") request.op = Op::kSolve;
   else if (name == "ping") request.op = Op::kPing;
   else if (name == "stats") request.op = Op::kStats;
@@ -80,30 +120,23 @@ std::optional<Request> parse_request(const std::string& line, WireError* code,
   else if (name == "dump_recorder") request.op = Op::kDumpRecorder;
   else return fail(WireError::kUnknownOp, "unknown op '" + name + "'");
 
-  if (request.op == Op::kDumpRecorder) {
-    if (const Json* canonical = document->find("canonical")) {
-      if (!canonical->is_bool())
-        return fail(WireError::kBadRequest, "'canonical' must be a boolean");
-      request.canonical = canonical->as_bool();
-    }
+  if (request.op == Op::kDumpRecorder && m[kCanonical].found) {
+    if (m[kCanonical].type != Json::Type::kBool)
+      return fail(WireError::kBadRequest, "'canonical' must be a boolean");
+    request.canonical = m[kCanonical].bytes.front() == 't';
   }
 
   std::string int_error;
-  if (!read_int(*document, "wire", &request.wire, &int_error))
+  if (!read_int(m[kWire], kMemberKeys[kWire], &request.wire, &int_error))
     return fail(WireError::kBadRequest, int_error);
-  if (!read_int(*document, "budget_ms", &request.budget_ms, &int_error))
+  if (!read_int(m[kBudgetMs], kMemberKeys[kBudgetMs], &request.budget_ms,
+                &int_error))
     return fail(WireError::kBadRequest, int_error);
 
-  if (const Json* spec = document->find("spec")) {
-    if (!spec->is_string())
-      return fail(WireError::kBadRequest, "'spec' must be a string");
-    request.spec = spec->as_string();
-  }
-  if (Json* instance = document->find("instance")) {
-    if (!instance->is_string())
-      return fail(WireError::kBadRequest, "'instance' must be a string");
-    request.instance = instance->take_string();  // the bulk of the line
-  }
+  if (!read_string(m[kSpec], &request.spec))
+    return fail(WireError::kBadRequest, "'spec' must be a string");
+  if (!read_string(m[kInstance], &request.instance))  // the bulk of the line
+    return fail(WireError::kBadRequest, "'instance' must be a string");
   if (request.op == Op::kSolve &&
       (request.spec.empty() == request.instance.empty()))
     return fail(WireError::kBadRequest,
@@ -114,32 +147,30 @@ std::optional<Request> parse_request(const std::string& line, WireError* code,
       request.op == Op::kCancelJob || request.op == Op::kSnapshot ||
       request.op == Op::kCloseSession;
   if (session_op) {
-    const Json* session = document->find("session");
-    if (session == nullptr || !session->is_string() ||
-        session->as_string().empty())
+    if (!m[kSession].found || !read_string(m[kSession], &request.session) ||
+        request.session.empty())
       return fail(WireError::kBadRequest,
                   "'" + name + "' needs a non-empty string 'session'");
-    request.session = session->as_string();
   }
   if (request.op == Op::kOpenSession) {
-    if (!read_int(*document, "machines", &request.machines, &int_error))
+    if (!read_int(m[kMachines], kMemberKeys[kMachines], &request.machines,
+                  &int_error))
       return fail(WireError::kBadRequest, int_error);
     if (request.machines < 1)
       return fail(WireError::kBadRequest, "'machines' must be >= 1");
   }
   if (request.op == Op::kSubmitJob) {
-    const Json* cls = document->find("class");
-    if (cls == nullptr || !cls->is_string() || cls->as_string().empty())
+    if (!m[kClass].found || !read_string(m[kClass], &request.job_class) ||
+        request.job_class.empty())
       return fail(WireError::kBadRequest,
                   "'submit_job' needs a non-empty string 'class'");
-    request.job_class = cls->as_string();
-    if (!read_int(*document, "size", &request.size, &int_error))
+    if (!read_int(m[kSize], kMemberKeys[kSize], &request.size, &int_error))
       return fail(WireError::kBadRequest, int_error);
     if (request.size < 1)
       return fail(WireError::kBadRequest, "'size' must be >= 1");
   }
   if (request.op == Op::kCancelJob) {
-    if (!read_int(*document, "job", &request.job, &int_error))
+    if (!read_int(m[kJob], kMemberKeys[kJob], &request.job, &int_error))
       return fail(WireError::kBadRequest, int_error);
     if (request.job < 0)
       return fail(WireError::kBadRequest,

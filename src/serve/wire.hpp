@@ -111,10 +111,12 @@ struct Request {
   bool canonical = false;
 };
 
-/// Parses one JSONL request line. On failure returns std::nullopt and
-/// fills `code`/`detail` (both optional) with the named error; `id_out`,
-/// when non-null, receives whatever id could be salvaged from the line so
-/// the error response still correlates.
+/// Parses one JSONL request line. One syntax pass locates the members
+/// (util/json.hpp: json_scan_members) and builds no Json tree; only the
+/// `id` becomes a Json value, to be echoed verbatim. On failure returns
+/// std::nullopt and fills `code`/`detail` (both optional) with the named
+/// error; `id_out`, when non-null, receives whatever id could be salvaged
+/// from the line so the error response still correlates.
 std::optional<Request> parse_request(const std::string& line,
                                      WireError* code = nullptr,
                                      std::string* detail = nullptr,

@@ -1,10 +1,13 @@
 #include "util/json.hpp"
 
-#include <charconv>
 #include <algorithm>
+#include <bit>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 namespace msrs {
@@ -79,6 +82,46 @@ Json Json::object() {
   return j;
 }
 
+Json Json::object(std::vector<std::pair<std::string, Json>> members) {
+  // Group equal keys by sorting member indices (index order within a
+  // group): the group's first index keeps its slot and takes the value of
+  // the group's last index; the others are dropped. The indices live in
+  // per-thread scratch, so building an object allocates no more than the
+  // set() calls it replaces.
+  const std::size_t n = members.size();
+  thread_local std::vector<std::size_t> order;
+  order.resize(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const int cmp = members[a].first.compare(members[b].first);
+    return cmp != 0 ? cmp < 0 : a < b;
+  });
+  std::vector<bool> dropped;  // sized at the first repeated key
+  for (std::size_t g = 0; g < n;) {
+    std::size_t end = g + 1;
+    while (end < n && members[order[end]].first == members[order[g]].first)
+      ++end;
+    if (end - g > 1) {
+      if (dropped.empty()) dropped.assign(n, false);
+      members[order[g]].second = std::move(members[order[end - 1]].second);
+      for (std::size_t k = g + 1; k < end; ++k) dropped[order[k]] = true;
+    }
+    g = end;
+  }
+  if (!dropped.empty()) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (dropped[i]) continue;
+      if (kept != i) members[kept] = std::move(members[i]);
+      ++kept;
+    }
+    members.resize(kept);
+  }
+  Json j = object();
+  j.members_ = std::move(members);
+  return j;
+}
+
 void Json::push_back(Json value) {
   type_ = Type::kArray;
   items_.push_back(std::move(value));
@@ -98,10 +141,6 @@ const Json* Json::find(const std::string& key) const {
   for (const auto& [k, v] : members_)
     if (k == key) return &v;
   return nullptr;
-}
-
-Json* Json::find(const std::string& key) {
-  return const_cast<Json*>(std::as_const(*this).find(key));
 }
 
 void Json::write(std::string& out, int indent, int depth) const {
@@ -178,24 +217,129 @@ bool operator==(const Json& a, const Json& b) {
 
 namespace {
 
-// Strict RFC-8259 recursive-descent parser.
+// Strict RFC-8259 recursive-descent parser. Each value parser checks the
+// syntax and, when its `out` is non-null, also builds the value; with
+// nullptr it only checks. The member reader runs the checking mode over a
+// top-level object and notes where the wanted members' values sit.
 class Parser {
  public:
-  Parser(const std::string& text, std::string* error)
+  Parser(std::string_view text, std::string* error)
       : text_(text), error_(error) {}
 
-  std::optional<Json> run() {
-    auto value = parse_value();
-    if (!value) return std::nullopt;
+  // The whole text as one value, built into *out (nullptr: check only).
+  bool document(Json* out) {
+    if (!value(out)) return false;
     skip_ws();
     if (pos_ != text_.size()) {
       fail("trailing bytes after document");
-      return std::nullopt;
+      return false;
     }
-    return value;
+    return true;
+  }
+
+  // The member reader behind json_scan_members().
+  JsonScan members(std::span<const std::string_view> keys,
+                   std::span<JsonMember> found) {
+    skip_ws();
+    if (pos_ >= text_.size() || text_[pos_] != '{')
+      return document(nullptr) ? JsonScan::kNotObject : JsonScan::kMalformed;
+    Wanted wanted{keys, found, {}};
+    // The same depth bookkeeping as value() entering a top-level object.
+    ++depth_;
+    const bool ok = object(nullptr, &wanted);
+    --depth_;
+    if (!ok) return JsonScan::kMalformed;
+    skip_ws();
+    if (pos_ != text_.size()) {
+      fail("trailing bytes after document");
+      return JsonScan::kMalformed;
+    }
+    return JsonScan::kObject;
+  }
+
+  // A string token starting at the current position (leading whitespace
+  // allowed): checked, then decoded into *out when non-null.
+  bool string(std::string* out) {
+    skip_ws();
+    const std::size_t begin = pos_;
+    if (!consume('"')) {
+      fail("expected '\"'");
+      return false;
+    }
+    std::size_t stop = plain_run_end(pos_);
+    while (stop < text_.size()) {
+      pos_ = stop + 1;
+      if (text_[stop] == '"') {
+        if (out != nullptr)
+          decode_string(text_.substr(begin, pos_ - begin), out);
+        return true;
+      }
+      if (pos_ >= text_.size()) break;  // a backslash ends the text
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': case '\\': case '/': case 'n': case 't': case 'r':
+        case 'b': case 'f':
+          break;
+        case 'u':
+          if (!hex4(nullptr)) return false;
+          break;
+        default:
+          fail(std::string("unknown escape '\\") + esc + "'");
+          return false;
+      }
+      stop = plain_run_end(pos_);
+    }
+    pos_ = text_.size();
+    fail("unterminated string");
+    return false;
+  }
+
+  // Decodes a string token, quotes included, that string() has checked,
+  // in one pass through a buffer sized once from the token (decoding never
+  // lengthens a string). Only backslashes can interrupt a plain run here.
+  static void decode_string(std::string_view token, std::string* out) {
+    out->resize(token.size() - 2);
+    char* dst = out->data();
+    const char* p = token.data() + 1;
+    const char* const end = token.data() + token.size() - 1;
+    while (p != end) {
+      const void* slash =
+          std::memchr(p, '\\', static_cast<std::size_t>(end - p));
+      const char* stop =
+          slash != nullptr ? static_cast<const char*>(slash) : end;
+      std::memcpy(dst, p, static_cast<std::size_t>(stop - p));
+      dst += stop - p;
+      if (stop == end) break;
+      const char esc = stop[1];
+      p = stop + 2;
+      switch (esc) {
+        case 'n': *dst++ = '\n'; break;
+        case 't': *dst++ = '\t'; break;
+        case 'r': *dst++ = '\r'; break;
+        case 'b': *dst++ = '\b'; break;
+        case 'f': *dst++ = '\f'; break;
+        case 'u': {
+          unsigned code = 0;
+          Parser(std::string_view(p, 4), nullptr).hex4(&code);
+          p += 4;
+          dst = put_utf8(code, dst);
+          break;
+        }
+        default: *dst++ = esc; break;  // '"', '\\' and '/' stand for themselves
+      }
+    }
+    out->resize(static_cast<std::size_t>(dst - out->data()));
   }
 
  private:
+  // The member reader's state: the wanted keys, where their values were
+  // found, and a buffer for unescaping a key.
+  struct Wanted {
+    std::span<const std::string_view> keys;
+    std::span<JsonMember> found;
+    std::string key;
+  };
+
   void fail(const std::string& what) {
     if (error_ != nullptr && error_->empty())
       *error_ = what + " at byte " + std::to_string(pos_);
@@ -218,11 +362,74 @@ class Parser {
   }
 
   // End of the run of plain string bytes starting at `from`: the next
-  // quote or backslash, or the end of the text.
+  // quote or backslash, or the end of the text. Eight bytes per step: a
+  // byte of `word` equals c exactly when the same byte of word ^ (c * 0x01..)
+  // is zero, and the lowest flagged zero byte is exact (borrows only
+  // propagate upward), so the lowest set bit of the mask is the answer.
   std::size_t plain_run_end(std::size_t from) const {
-    while (from < text_.size() && text_[from] != '"' && text_[from] != '\\')
-      ++from;
-    return std::min(from, text_.size());
+    const std::size_t size = text_.size();
+    if constexpr (std::endian::native == std::endian::little) {
+      constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+      constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+      for (; from + 8 <= size; from += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, text_.data() + from, sizeof word);
+        const std::uint64_t quote = word ^ (kOnes * '"');
+        const std::uint64_t slash = word ^ (kOnes * '\\');
+        const std::uint64_t hit = ((quote - kOnes) & ~quote) |
+                                  ((slash - kOnes) & ~slash);
+        if ((hit & kHighs) != 0)
+          return from + static_cast<std::size_t>(
+                            std::countr_zero(hit & kHighs) / 8);
+      }
+    }
+    while (from < size && text_[from] != '"' && text_[from] != '\\') ++from;
+    return from;
+  }
+
+  // Exactly four hex digits after "\u", checked by hand: sscanf-style
+  // parsing would skip whitespace and accept short tokens, silently
+  // corrupting the string. The value goes to *code when non-null.
+  bool hex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) {
+      fail("truncated \\u escape");
+      return false;
+    }
+    unsigned value = 0;
+    bool hex_ok = true;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const char h = text_[pos_ + k];
+      value <<= 4;
+      if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f')
+        value |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F')
+        value |= static_cast<unsigned>(h - 'A' + 10);
+      else hex_ok = false;
+    }
+    if (!hex_ok) {
+      fail("malformed \\u escape");
+      return false;
+    }
+    pos_ += 4;
+    if (code != nullptr) *code = value;
+    return true;
+  }
+
+  // The writer only emits \u00xx for control bytes; a BMP code point is
+  // decoded as UTF-8 at `dst`. Returns the end of what it wrote.
+  static char* put_utf8(unsigned code, char* dst) {
+    if (code < 0x80) {
+      *dst++ = static_cast<char>(code);
+    } else if (code < 0x800) {
+      *dst++ = static_cast<char>(0xC0 | (code >> 6));
+      *dst++ = static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *dst++ = static_cast<char>(0xE0 | (code >> 12));
+      *dst++ = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *dst++ = static_cast<char>(0x80 | (code & 0x3F));
+    }
+    return dst;
   }
 
   bool literal(const char* word) {
@@ -234,11 +441,11 @@ class Parser {
     return false;
   }
 
-  std::optional<Json> parse_value() {
+  bool value(Json* out) {
     skip_ws();
     if (pos_ >= text_.size()) {
       fail("unexpected end of input");
-      return std::nullopt;
+      return false;
     }
     // Depth cap: the parser recurses once per container level, and inputs
     // arrive from untrusted sources (the serving layer's wire protocol) —
@@ -246,23 +453,38 @@ class Parser {
     // the process. 128 levels is far beyond any document this repo emits.
     if (depth_ >= 128) {
       fail("nesting deeper than 128 levels");
-      return std::nullopt;
+      return false;
     }
     const char c = text_[pos_];
-    if (c == '{') return nested([this] { return parse_object(); });
-    if (c == '[') return nested([this] { return parse_array(); });
-    if (c == '"') {
-      auto s = parse_string();
-      if (!s) return std::nullopt;
-      return Json(std::move(*s));
+    if (c == '{' || c == '[') {
+      ++depth_;
+      const bool ok = c == '{' ? object(out, nullptr) : array(out);
+      --depth_;
+      return ok;
     }
-    if (literal("null")) return Json();
-    if (literal("true")) return Json(true);
-    if (literal("false")) return Json(false);
-    return parse_number();
+    if (c == '"') {
+      if (out == nullptr) return string(nullptr);
+      std::string s;
+      if (!string(&s)) return false;
+      *out = Json(std::move(s));
+      return true;
+    }
+    if (literal("null")) {
+      if (out != nullptr) *out = Json();
+      return true;
+    }
+    if (literal("true")) {
+      if (out != nullptr) *out = Json(true);
+      return true;
+    }
+    if (literal("false")) {
+      if (out != nullptr) *out = Json(false);
+      return true;
+    }
+    return number(out);
   }
 
-  std::optional<Json> parse_number() {
+  bool number(Json* out) {
     const std::size_t begin = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     const std::size_t digits = pos_;
@@ -273,150 +495,100 @@ class Parser {
       ++pos_;
     if (pos_ == digits) {
       fail("expected a value");
-      return std::nullopt;
+      return false;
     }
     double v = 0.0;
     if (!parse_double(text_.data() + begin, text_.data() + pos_, &v)) {
-      fail("malformed number '" + text_.substr(begin, pos_ - begin) + "'");
-      return std::nullopt;
+      fail("malformed number '" +
+           std::string(text_.substr(begin, pos_ - begin)) + "'");
+      return false;
     }
-    return Json(v);
+    if (out != nullptr) *out = Json(v);
+    return true;
   }
 
-  std::optional<std::string> parse_string() {
-    if (!consume('"')) {
-      fail("expected '\"'");
-      return std::nullopt;
-    }
-    std::string out;
-    // Plain runs go in as one append each. When escapes follow, size the
-    // buffer once from the raw span up to the closing quote (decoding
-    // never lengthens a string).
-    std::size_t stop = plain_run_end(pos_);
-    if (stop < text_.size() && text_[stop] == '\\') {
-      std::size_t close = stop;
-      while (close < text_.size() && text_[close] == '\\')
-        close = plain_run_end(close + 2);
-      out.reserve(close - pos_);
-    }
-    while (pos_ < text_.size()) {
-      out.append(text_, pos_, stop - pos_);
-      pos_ = stop;
-      if (pos_ == text_.size()) break;
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              fail("truncated \\u escape");
-              return std::nullopt;
-            }
-            // Exactly four hex digits, checked by hand: sscanf-style
-            // parsing would skip whitespace and accept short tokens,
-            // silently corrupting the string.
-            unsigned code = 0;
-            bool hex_ok = true;
-            for (std::size_t k = 0; k < 4; ++k) {
-              const char h = text_[pos_ + k];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              else hex_ok = false;
-            }
-            if (!hex_ok) {
-              fail("malformed \\u escape");
-              return std::nullopt;
-            }
-            pos_ += 4;
-            // The writer only emits \u00xx for control bytes; decode the
-            // BMP code point as UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            fail(std::string("unknown escape '\\") + esc + "'");
-            return std::nullopt;
-        }
-      }
-      stop = plain_run_end(pos_);
-    }
-    fail("unterminated string");
-    return std::nullopt;
-  }
-
-  std::optional<Json> parse_array() {
+  bool array(Json* out) {
     consume('[');
-    Json out = Json::array();
+    if (out != nullptr) *out = Json::array();
     skip_ws();
-    if (consume(']')) return out;
+    if (consume(']')) return true;
     for (;;) {
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      out.push_back(std::move(*value));
+      Json item;
+      if (!value(out != nullptr ? &item : nullptr)) return false;
+      if (out != nullptr) out->push_back(std::move(item));
       if (consume(',')) continue;
-      if (consume(']')) return out;
+      if (consume(']')) return true;
       fail("expected ',' or ']'");
-      return std::nullopt;
+      return false;
     }
   }
 
-  std::optional<Json> parse_object() {
+  // An object, built into *out (members folded by Json::object) or, with
+  // `wanted`, read member by member without building anything.
+  bool object(Json* out, Wanted* wanted) {
     consume('{');
-    Json out = Json::object();
+    std::vector<std::pair<std::string, Json>> members;
     skip_ws();
-    if (consume('}')) return out;
+    if (consume('}')) {
+      if (out != nullptr) *out = Json::object();
+      return true;
+    }
     for (;;) {
       skip_ws();
-      auto key = parse_string();
-      if (!key) return std::nullopt;
+      const std::size_t key_begin = pos_;
+      std::string key;
+      if (!string(out != nullptr ? &key : nullptr)) return false;
+      const std::size_t key_end = pos_;
       if (!consume(':')) {
         fail("expected ':'");
-        return std::nullopt;
+        return false;
       }
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      out.set(std::move(*key), std::move(*value));
+      skip_ws();
+      const std::size_t value_begin = pos_;
+      Json item;
+      if (!value(out != nullptr ? &item : nullptr)) return false;
+      if (out != nullptr)
+        members.emplace_back(std::move(key), std::move(item));
+      else if (wanted != nullptr)
+        note_member(*wanted, key_begin, key_end, value_begin);
       if (consume(',')) continue;
-      if (consume('}')) return out;
+      if (consume('}')) {
+        if (out != nullptr) *out = Json::object(std::move(members));
+        return true;
+      }
       fail("expected ',' or '}'");
-      return std::nullopt;
+      return false;
     }
   }
 
-  // Runs a container parse one level deeper (RAII would be overkill: the
-  // parsers return through this frame on every path).
-  template <typename F>
-  std::optional<Json> nested(F&& parse) {
-    ++depth_;
-    std::optional<Json> value = parse();
-    --depth_;
-    return value;
+  // Records the member whose key token is text_[key_begin, key_end) and
+  // whose value spans text_[value_begin, pos_) when its key is wanted.
+  void note_member(Wanted& wanted, std::size_t key_begin, std::size_t key_end,
+                   std::size_t value_begin) {
+    std::string_view key = text_.substr(key_begin + 1, key_end - key_begin - 2);
+    if (key.find('\\') != std::string_view::npos) {
+      decode_string(text_.substr(key_begin, key_end - key_begin), &wanted.key);
+      key = wanted.key;
+    }
+    for (std::size_t i = 0; i < wanted.keys.size(); ++i) {
+      if (wanted.keys[i] != key) continue;
+      JsonMember& member = wanted.found[i];
+      member.found = true;
+      member.bytes = text_.substr(value_begin, pos_ - value_begin);
+      switch (text_[value_begin]) {
+        case '{': member.type = Json::Type::kObject; break;
+        case '[': member.type = Json::Type::kArray; break;
+        case '"': member.type = Json::Type::kString; break;
+        case 'n': member.type = Json::Type::kNull; break;
+        case 't':
+        case 'f': member.type = Json::Type::kBool; break;
+        default: member.type = Json::Type::kNumber; break;
+      }
+      return;
+    }
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
   int depth_ = 0;
@@ -424,9 +596,30 @@ class Parser {
 
 }  // namespace
 
-std::optional<Json> json_parse(const std::string& text, std::string* error) {
+std::optional<Json> json_parse(std::string_view text, std::string* error) {
   if (error != nullptr) error->clear();
-  return Parser(text, error).run();
+  Json out;
+  if (!Parser(text, error).document(&out)) return std::nullopt;
+  return out;
+}
+
+JsonScan json_scan_members(std::string_view text,
+                           std::span<const std::string_view> keys,
+                           std::span<JsonMember> found, std::string* error) {
+  if (error != nullptr) error->clear();
+  for (JsonMember& member : found) member = JsonMember{};
+  return Parser(text, error).members(keys, found);
+}
+
+void json_member_string(const JsonMember& member, std::string* out) {
+  Parser::decode_string(member.bytes, out);
+}
+
+double json_member_number(const JsonMember& member) {
+  double v = 0.0;
+  parse_double(member.bytes.data(), member.bytes.data() + member.bytes.size(),
+               &v);
+  return v;
 }
 
 }  // namespace msrs

@@ -9,12 +9,19 @@
 /// pointer-dependent bytes. The parser is the harness's own round-trip
 /// check — it accepts exactly the JSON the writer emits plus ordinary
 /// RFC-8259 documents (no comments, no trailing commas).
+///
+/// The same parser also runs as a member reader (json_scan_members): it
+/// checks a whole document's syntax and locates a few top-level members
+/// without building a tree, which is how the serving layer reads request
+/// lines (serve/wire.hpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,6 +51,10 @@ class Json {
   static Json array();
   /// An empty object node.
   static Json object();
+  /// An object node with these members in order. A repeated key keeps its
+  /// first position and takes its last value, as a sequence of set() calls
+  /// would leave it, but in O(k log k) for k members rather than O(k^2).
+  static Json object(std::vector<std::pair<std::string, Json>> members);
 
   /// \name Type predicates
   /// @{
@@ -62,9 +73,6 @@ class Json {
   double as_number() const { return number_; }
   /// String payload (valid iff is_string()).
   const std::string& as_string() const { return string_; }
-  /// Moves the string payload out (valid iff is_string(); leaves it
-  /// empty), so a parsed document hands over large strings without a copy.
-  std::string take_string() { return std::move(string_); }
   /// Array elements (valid iff is_array()).
   const std::vector<Json>& items() const { return items_; }
   /// Object members in insertion order (valid iff is_object()).
@@ -78,8 +86,6 @@ class Json {
   void set(std::string key, Json value);
   /// Pointer to the member value, or nullptr when absent / not an object.
   const Json* find(const std::string& key) const;
-  /// Mutable variant of find().
-  Json* find(const std::string& key);
 
   /// Serializes deterministically; `indent` > 0 pretty-prints.
   std::string str(int indent = 0) const;
@@ -101,7 +107,38 @@ class Json {
 
 /// Parses a JSON document. Returns std::nullopt on malformed input and, when
 /// `error` is non-null, stores a one-line description with byte offset.
-std::optional<Json> json_parse(const std::string& text,
+std::optional<Json> json_parse(std::string_view text,
                                std::string* error = nullptr);
+
+/// What json_scan_members() found in its text.
+enum class JsonScan {
+  kObject,     ///< one well-formed object; its wanted members are located
+  kNotObject,  ///< one well-formed document that is not an object
+  kMalformed,  ///< not one JSON document; `*error` says why
+};
+
+/// One top-level member as json_scan_members() located it.
+struct JsonMember {
+  bool found = false;                   ///< the key occurs in the object
+  Json::Type type = Json::Type::kNull;  ///< the value's kind (when found)
+  std::string_view bytes;               ///< the value's bytes in the text
+};
+
+/// Reads a document's top-level members without building a tree. Checks
+/// the syntax of all of `text` with json_parse()'s rules, so a malformed
+/// document fails with the same `*error` detail. When the document is an
+/// object, `found[i]` locates the value of the member named `keys[i]`; a
+/// repeated key locates its last value, as in the tree. Allocates nothing
+/// unless a key is escaped and longer than the short-string buffer.
+JsonScan json_scan_members(std::string_view text,
+                           std::span<const std::string_view> keys,
+                           std::span<JsonMember> found,
+                           std::string* error = nullptr);
+
+/// The decoded value of a located kString member, written to `*out`.
+void json_member_string(const JsonMember& member, std::string* out);
+
+/// The value of a located kNumber member.
+double json_member_number(const JsonMember& member);
 
 }  // namespace msrs

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <future>
 #include <map>
 #include <numeric>
@@ -539,7 +540,8 @@ TEST(ShapeDifferential, FlatShapeMatchesCanonicalFormAndTheNestedOracle) {
         // The admission path: text -> flat listing -> shape, no Instance.
         const std::optional<FlatInstance> flat = parse_flat(to_text(instance));
         ASSERT_TRUE(flat.has_value());
-        const engine::CanonicalShape shape = engine::canonical_shape(*flat);
+        engine::CanonicalShape shape;
+        engine::canonical_shape(*flat, &shape);
         EXPECT_EQ(shape.machines, form.machines);
         EXPECT_EQ(shape.key, form.key) << family_name(family);
         EXPECT_EQ(shape.sizes, form.sizes) << family_name(family);
@@ -551,9 +553,10 @@ TEST(ShapeDifferential, FlatShapeMatchesCanonicalFormAndTheNestedOracle) {
   }
 }
 
-TEST(ShapeDifferential, GoldenKeysPinShardRouting) {
+TEST(ShapeDifferential, GoldenKeysPinTheCacheKey) {
   // Keys computed by the nested canonical form this repository started
-  // with: shard routing (key % shards) must never drift.
+  // with: the cache key (canonical_form and the shard's canonical_shape)
+  // must never drift.
   const struct {
     Family family;
     int n, m;
@@ -568,8 +571,9 @@ TEST(ShapeDifferential, GoldenKeysPinShardRouting) {
     const Instance instance = generate(c.family, c.n, c.m, c.seed);
     EXPECT_EQ(engine::canonical_form(instance).key, c.key)
         << family_name(c.family);
-    EXPECT_EQ(engine::canonical_shape(flatten(instance)).key, c.key)
-        << family_name(c.family);
+    engine::CanonicalShape shape;
+    engine::canonical_shape(flatten(instance), &shape);
+    EXPECT_EQ(shape.key, c.key) << family_name(c.family);
   }
 }
 
@@ -616,6 +620,370 @@ TEST(WireFuzz, MutatedValidRequestsAreHandledByName) {
   // The service survived the whole mutation sweep.
   const std::string response = service.handle(valid);
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
+}
+
+// ---------------- wire request scan vs the Json-tree oracle ----------------
+
+// The request parser the serving layer used before its tree-free scan:
+// json_parse the whole line into a Json document, then read the members
+// from the tree. It is kept here as the differential oracle of
+// serve::parse_request, which must agree on every field, error code,
+// detail and salvaged id.
+namespace wire_oracle {
+
+bool read_int(const Json& object, const std::string& key, int* out,
+              std::string* detail) {
+  const Json* member = object.find(key);
+  if (member == nullptr) return true;
+  const double v = member->is_number() ? member->as_number() : -1.0;
+  if (v != std::floor(v) || v < 0 || v > 2147483647.0) {
+    if (detail)
+      *detail = "'" + key + "' must be a non-negative 32-bit integer";
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+std::optional<serve::Request> parse_request(const std::string& line,
+                                            serve::WireError* code,
+                                            std::string* detail,
+                                            Json* id_out) {
+  using serve::Op;
+  using serve::WireError;
+  const auto fail = [&](WireError c,
+                        std::string d) -> std::optional<serve::Request> {
+    if (code) *code = c;
+    if (detail) *detail = std::move(d);
+    return std::nullopt;
+  };
+
+  std::string parse_error;
+  std::optional<Json> document = json_parse(line, &parse_error);
+  if (!document) return fail(WireError::kParseError, parse_error);
+  if (!document->is_object())
+    return fail(WireError::kBadRequest, "request is not a JSON object");
+  if (const Json* id = document->find("id"); id != nullptr && id_out)
+    *id_out = *id;
+
+  serve::Request request;
+  if (const Json* id = document->find("id")) request.id = *id;
+
+  const Json* op = document->find("op");
+  if (op == nullptr || !op->is_string())
+    return fail(WireError::kBadRequest, "missing string member 'op'");
+  const std::string& name = op->as_string();
+  if (name == "solve") request.op = Op::kSolve;
+  else if (name == "ping") request.op = Op::kPing;
+  else if (name == "stats") request.op = Op::kStats;
+  else if (name == "version") request.op = Op::kVersion;
+  else if (name == "shutdown") request.op = Op::kShutdown;
+  else if (name == "open_session") request.op = Op::kOpenSession;
+  else if (name == "submit_job") request.op = Op::kSubmitJob;
+  else if (name == "cancel_job") request.op = Op::kCancelJob;
+  else if (name == "snapshot") request.op = Op::kSnapshot;
+  else if (name == "close_session") request.op = Op::kCloseSession;
+  else if (name == "dump_recorder") request.op = Op::kDumpRecorder;
+  else return fail(WireError::kUnknownOp, "unknown op '" + name + "'");
+
+  if (request.op == Op::kDumpRecorder) {
+    if (const Json* canonical = document->find("canonical")) {
+      if (!canonical->is_bool())
+        return fail(WireError::kBadRequest, "'canonical' must be a boolean");
+      request.canonical = canonical->as_bool();
+    }
+  }
+
+  std::string int_error;
+  if (!read_int(*document, "wire", &request.wire, &int_error))
+    return fail(WireError::kBadRequest, int_error);
+  if (!read_int(*document, "budget_ms", &request.budget_ms, &int_error))
+    return fail(WireError::kBadRequest, int_error);
+
+  if (const Json* spec = document->find("spec")) {
+    if (!spec->is_string())
+      return fail(WireError::kBadRequest, "'spec' must be a string");
+    request.spec = spec->as_string();
+  }
+  if (const Json* instance = document->find("instance")) {
+    if (!instance->is_string())
+      return fail(WireError::kBadRequest, "'instance' must be a string");
+    request.instance = instance->as_string();
+  }
+  if (request.op == Op::kSolve &&
+      (request.spec.empty() == request.instance.empty()))
+    return fail(WireError::kBadRequest,
+                "solve needs exactly one of 'spec' or 'instance'");
+
+  const bool session_op =
+      request.op == Op::kOpenSession || request.op == Op::kSubmitJob ||
+      request.op == Op::kCancelJob || request.op == Op::kSnapshot ||
+      request.op == Op::kCloseSession;
+  if (session_op) {
+    const Json* session = document->find("session");
+    if (session == nullptr || !session->is_string() ||
+        session->as_string().empty())
+      return fail(WireError::kBadRequest,
+                  "'" + name + "' needs a non-empty string 'session'");
+    request.session = session->as_string();
+  }
+  if (request.op == Op::kOpenSession) {
+    if (!read_int(*document, "machines", &request.machines, &int_error))
+      return fail(WireError::kBadRequest, int_error);
+    if (request.machines < 1)
+      return fail(WireError::kBadRequest, "'machines' must be >= 1");
+  }
+  if (request.op == Op::kSubmitJob) {
+    const Json* cls = document->find("class");
+    if (cls == nullptr || !cls->is_string() || cls->as_string().empty())
+      return fail(WireError::kBadRequest,
+                  "'submit_job' needs a non-empty string 'class'");
+    request.job_class = cls->as_string();
+    if (!read_int(*document, "size", &request.size, &int_error))
+      return fail(WireError::kBadRequest, int_error);
+    if (request.size < 1)
+      return fail(WireError::kBadRequest, "'size' must be >= 1");
+  }
+  if (request.op == Op::kCancelJob) {
+    if (!read_int(*document, "job", &request.job, &int_error))
+      return fail(WireError::kBadRequest, int_error);
+    if (request.job < 0)
+      return fail(WireError::kBadRequest,
+                  "'cancel_job' needs a non-negative integer 'job'");
+  }
+  return request;
+}
+
+}  // namespace wire_oracle
+
+// gtest assertion: the scan and the oracle agree on `line` — the same
+// Request fields, or the same error code, detail, salvaged id and error
+// response bytes.
+::testing::AssertionResult same_request_parse(const std::string& line) {
+  serve::WireError code = serve::WireError::kShuttingDown;
+  serve::WireError oracle_code = serve::WireError::kShuttingDown;
+  std::string detail = "unset", oracle_detail = "unset";
+  Json id("unset"), oracle_id("unset");
+  const std::optional<serve::Request> got =
+      serve::parse_request(line, &code, &detail, &id);
+  const std::optional<serve::Request> want =
+      wire_oracle::parse_request(line, &oracle_code, &oracle_detail,
+                                 &oracle_id);
+  const auto failure = [&line]() {
+    return ::testing::AssertionFailure()
+           << "line (" << line.size() << " bytes): "
+           << line.substr(0, 200) << "\n";
+  };
+  if (got.has_value() != want.has_value())
+    return failure() << "scan " << (got ? "accepts" : "rejects")
+                     << ", oracle " << (want ? "accepts" : "rejects") << ": "
+                     << (got ? oracle_detail : detail);
+  if (!(id == oracle_id) || id.str() != oracle_id.str())
+    return failure() << "salvaged id " << id.str() << " vs "
+                     << oracle_id.str();
+  if (!got) {
+    if (code != oracle_code || detail != oracle_detail)
+      return failure() << serve::wire_error_name(code) << " '" << detail
+                       << "' vs " << serve::wire_error_name(oracle_code)
+                       << " '" << oracle_detail << "'";
+    if (serve::error_response(id, code, detail) !=
+        serve::error_response(oracle_id, oracle_code, oracle_detail))
+      return failure() << "error response bytes differ";
+    return ::testing::AssertionSuccess();
+  }
+  const serve::Request& a = *got;
+  const serve::Request& b = *want;
+  if (a.op != b.op || !(a.id == b.id) || a.id.str() != b.id.str() ||
+      a.wire != b.wire || a.spec != b.spec || a.instance != b.instance ||
+      a.budget_ms != b.budget_ms || a.session != b.session ||
+      a.job_class != b.job_class || a.size != b.size || a.job != b.job ||
+      a.machines != b.machines || a.canonical != b.canonical)
+    return failure() << "request fields differ (id " << a.id.str() << " vs "
+                     << b.id.str() << ")";
+  return ::testing::AssertionSuccess();
+}
+
+// The hand-written corpus: the wire tests' lines, then one family per
+// concern the scan must get right.
+std::vector<std::string> wire_corpus() {
+  std::vector<std::string> lines = {
+      // Lines of the wire, service and transport tests.
+      R"({"id":7,"op":"solve","spec":"uniform:n=20,m=4,seed=1","wire":1})",
+      "not json at all", "[1,2,3]", R"({"id":1})", R"({"op":"fly"})",
+      R"({"op":"solve"})", R"({"op":"solve","spec":"a","instance":"b"})",
+      R"({"op":"solve","spec":"a","wire":1.5})",
+      R"({"op":"solve","spec":[1]})",
+      R"({"op":"solve","spec":"a","budget_ms":3000000000})",
+      R"({"op":"ping","wire":1e300})", R"({"op":"ping","wire":-7})",
+      R"({"id":42,"op":"fly"})", R"({"id":1,"op":"ping"})",
+      R"({"op":"version"})", R"({"op":"stats"})", R"({"op":"shutdown"})",
+      "}{ not json", R"({"op":"solve","spec":"no_such_family:n=5"})",
+      R"({"op":"solve","instance":"msrs 9000"})",
+      "{\"id\":1,\"op\":" + std::string(200, '['),
+      R"({"id":1,"op":"solve","instance":"msrs 1\nmachines 2147483647\nclasses 1\nclass 1 5\n"})",
+      R"({"op":"ping","wire":999})",
+      R"({"op":"solve","spec":"uniform:n=20,m=4,seed=2","budget_ms":500})",
+      R"({"id":3,"op":"solve","spec":"uniform:n=8,m=2,seed=1","wire":1})",
+      R"({"id":1,"op":"open_session","session":"drain","machines":3})",
+      R"({"id":2,"op":"submit_job","session":"drain","class":"c0","size":7})",
+      R"({"id":6,"op":"snapshot","session":"drain"})",
+      R"({"id":9,"op":"cancel_job","session":"s","job":0})",
+      R"({"id":9,"op":"cancel_job","session":"s"})",
+      R"({"id":9,"op":"close_session","session":""})",
+      R"({"id":9,"op":"open_session","session":"s","machines":0})",
+      R"({"id":9,"op":"submit_job","session":"s","class":"","size":1})",
+      R"({"id":9,"op":"submit_job","session":"s","class":"c","size":0})",
+      R"({"id":9,"op":"submit_job","session":5,"class":"c","size":1})",
+      R"({"op":"dump_recorder","canonical":true})",
+      R"({"op":"dump_recorder","canonical":1})",
+      R"({"op":"ping","canonical":1})",
+      // Non-object documents and trailing garbage.
+      "", " ", "null", "true", "false", "12", "-0", "\"ping\"", "[]", "{}",
+      R"({"op":"ping"} x)", R"({"op":"ping"}})", R"({"op":"ping"}{})",
+      R"({"op":"ping"},)", "{\"op\":\"ping\"}\t\r\n ", " \n{\"op\":\"ping\"}",
+      R"({"op":"ping",})", R"({"op" "ping"})", R"({op:"ping"})",
+      R"({"op":'ping'})", R"({"op":"ping"]})", R"({"op":nul})",
+      R"({"op":"ping","x":01})", R"({"op":"ping","x":1.})",
+      R"({"op":"ping","x":.5})", R"({"op":"ping","x":+1})",
+      R"({"op":"ping","x":1e})", R"({"op":"ping","x":--1})",
+      // Keys and op names through escapes.
+      R"({"\u006fp":"ping"})", R"({"op":"\u0070ing"})",
+      R"({"o\p":"ping"})", R"({"op":"pi\ng"})", R"({"\u0069d":4,"op":"fly"})",
+      R"({"op":"ping","\u00e9":1})", R"({"op":"ping","id\u0000":1})",
+      R"({"id":[1],"op":"ping","\u0069d":2})",
+      R"({"op":"ping","a_key_longer_than_sixteen_bytes\n":1})",
+  };
+  // Members in every order, and duplicate members.
+  std::vector<std::string> members = {
+      R"("id":5)", R"("op":"solve")", R"("spec":"uniform:n=8,m=2")",
+      R"("wire":1)", R"("budget_ms":3)"};
+  std::sort(members.begin(), members.end());
+  do {
+    std::string line = "{";
+    for (std::size_t i = 0; i < members.size(); ++i)
+      line += (i > 0 ? "," : "") + members[i];
+    lines.push_back(line + "}");
+  } while (std::next_permutation(members.begin(), members.end()));
+  for (const char* dup :
+       {R"({"op":"ping","op":"solve","spec":"a"})",
+        R"({"op":"solve","spec":"a","op":"ping"})",
+        R"({"op":"fly","op":"ping"})", R"({"op":"ping","op":"fly"})",
+        R"({"id":1,"op":"ping","id":{"a":[2]}})",
+        R"({"id":1,"op":"fly","id":"two"})",
+        R"({"op":"solve","spec":"a","spec":5})",
+        R"({"op":"solve","spec":5,"spec":"a"})",
+        R"({"op":"solve","instance":"x","instance":7})",
+        R"({"op":"solve","spec":"a","wire":1,"wire":2.5})",
+        R"({"op":"solve","spec":"a","budget_ms":-1,"budget_ms":4})",
+        R"({"op":"open_session","session":"","session":"s"})",
+        R"({"op":"open_session","session":"s","machines":2,"machines":0})"})
+    lines.push_back(dup);
+  // Unknown members of each JSON type.
+  for (const char* value :
+       {"null", "true", "false", "0", "-1.5e3", R"("text")", R"("\"\\")",
+        "[]", "{}", R"([1,"a",[null],{"b":{}}])", R"({"x":[{"y":false}]})"}) {
+    lines.push_back(std::string(R"({"op":"ping","unknown":)") + value + "}");
+    lines.push_back(std::string(R"({"unknown":)") + value +
+                    R"(,"op":"solve","spec":"s"})");
+  }
+  // Ids of each type.
+  for (const char* id :
+       {"null", "true", "false", "0", "7", "-0", "1e2", "1.50", "1E-3",
+        "123456789012345678901234567890", R"("")", R"("abc")",
+        R"("é\n")", "[]", R"([1,[2,[3]]])", "{}",
+        R"({"a":{"b":[1,{"c":null}]},"a":2})", R"({"z":1,"y":2,"z":3})"}) {
+    lines.push_back(std::string(R"({"id":)") + id + R"(,"op":"ping"})");
+    lines.push_back(std::string(R"({"op":"fly","id":)") + id + "}");
+  }
+  // wire and budget_ms at and past the int range.
+  for (const char* key : {"wire", "budget_ms"})
+    for (const char* value :
+         {"0", "1", "2147483647", "2147483648", "-1", "1.5", "1e9", "1e10",
+          "-0", "2147483647.0", R"("1")", "true", "null", "[1]"})
+      lines.push_back(std::string(R"({"op":"solve","spec":"s",")") + key +
+                      "\":" + value + "}");
+  // Session integers at and past the int range.
+  for (const std::string value :
+       {"1", "0", "2147483647", "2147483648", "-1", "1.5"}) {
+    lines.push_back(
+        R"({"op":"open_session","session":"s","machines":)" + value + "}");
+    lines.push_back(R"({"op":"cancel_job","session":"s","job":)" + value +
+                    "}");
+    lines.push_back(
+        R"({"op":"submit_job","session":"s","class":"c","size":)" + value +
+        "}");
+  }
+  // instance escapes and raw control bytes.
+  for (const std::string& text :
+       {std::string(R"(msrs 1\nmachines 2\nclasses 1\nclass 1 5\n)"),
+        std::string(R"(msrs 1\nmachines 2\nclasses 1\nclass 1 5)"),
+        std::string(R"(msrs 1\/2\tmachines\r\n)"),
+        std::string(R"(msrs \u0031\nmachines \u0032\nclasses 1\nclass 1 5\n)"),
+        std::string("msrs 1\nmachines 2\x01\x1f\x7f"),
+        std::string(R"(\u00e9\u20ac\b\f)"), std::string(R"(\u12)"),
+        std::string(R"(\u12G4)"), std::string(R"(\x)"), std::string(""),
+        std::string(40, 'a') + "\\n" + std::string(13, 'b') + "\\\""})
+    lines.push_back(R"({"id":1,"op":"solve","instance":")" + text + "\"}");
+  lines.push_back("{\"op\":\"solve\",\"instance\":\"unterminated");
+  lines.push_back("{\"op\":\"solve\",\"instance\":\"ends in \\");
+  // Every truncation of three sample lines.
+  const Instance instance = generate(Family::kUniform, 6, 2, 4);
+  Json solve = Json::object();
+  solve.set("id", "q\"1");
+  solve.set("op", "solve");
+  solve.set("instance", to_text(instance));
+  for (const std::string& sample :
+       {solve.str(),
+        std::string(R"({"id":[1,{"a":-0.5e1}],"op":"submit_job",)"
+                    R"("session":"s1","class":"c","size":3})"),
+        std::string(
+            R"( {"op":"dump_recorder", "canonical" : false ,"wire":1} )")})
+    for (std::size_t cut = 0; cut <= sample.size(); ++cut)
+      lines.push_back(sample.substr(0, cut));
+  return lines;
+}
+
+TEST(WireDifferential, CorpusAgreesWithTheTreeOracle) {
+  for (const std::string& line : wire_corpus())
+    EXPECT_TRUE(same_request_parse(line));
+}
+
+TEST(WireDifferential, RandomAndMutatedLinesAgreeWithTheTreeOracle) {
+  Rng rng(20261017);
+  // Random lines over a JSON-flavoured alphabet.
+  const char alphabet[] = "{}[]\":,solvepingidtau 0123456789.-+eE\\nu/";
+  for (int round = 0; round < 3000; ++round) {
+    std::string line;
+    const auto len = static_cast<std::size_t>(rng.uniform(0, 60));
+    for (std::size_t i = 0; i < len; ++i)
+      line.push_back(alphabet[static_cast<std::size_t>(rng.uniform(
+          0, static_cast<std::int64_t>(sizeof alphabet) - 2))]);
+    ASSERT_TRUE(same_request_parse(line));
+  }
+  // Corpus lines with bytes replaced, inserted and deleted.
+  const std::vector<std::string> corpus = wire_corpus();
+  for (int round = 0; round < 6000; ++round) {
+    std::string line = corpus[static_cast<std::size_t>(rng.uniform(
+        0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    const int edits = static_cast<int>(rng.uniform(1, 3));
+    for (int e = 0; e < edits; ++e) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(line.size())));
+      const char byte = alphabet[static_cast<std::size_t>(rng.uniform(
+          0, static_cast<std::int64_t>(sizeof alphabet) - 2))];
+      switch (rng.uniform(0, 2)) {
+        case 0:
+          if (at < line.size()) line[at] = byte;
+          break;
+        case 1:
+          line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), byte);
+          break;
+        default:
+          if (at < line.size()) line.erase(at, 1);
+      }
+    }
+    ASSERT_TRUE(same_request_parse(line));
+  }
 }
 
 // ---------------- byte-stream reassembly fuzz ----------------

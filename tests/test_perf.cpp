@@ -7,6 +7,7 @@
 
 #include "perf/perf.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace msrs::perf {
 namespace {
@@ -67,6 +68,97 @@ TEST(Json, ParserBoundsNestingDepth) {
   deep += '1';
   for (int i = 0; i < 100; ++i) deep += ']';
   EXPECT_TRUE(json_parse(deep).has_value());
+}
+
+TEST(Json, RepeatedKeysFoldAsSetDoes) {
+  // A repeated key keeps its first position and takes its last value,
+  // both when parsed and when an object is built from a member list. Small
+  // objects fold by scanning, larger ones by sorting: both must agree with
+  // a sequence of set() calls.
+  Rng rng(20261017);
+  for (const std::size_t count : {0u, 1u, 5u, 32u, 33u, 300u, 5000u}) {
+    Json expected = Json::object();
+    std::vector<std::pair<std::string, Json>> members;
+    std::string text = "{";
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string key =
+          "k" + std::to_string(rng.uniform(0, static_cast<std::int64_t>(
+                                                  count / 2 + 1)));
+      const Json value(static_cast<std::int64_t>(i));
+      expected.set(key, value);
+      members.emplace_back(key, value);
+      if (i > 0) text += ',';
+      text += "\"" + key + "\":" + std::to_string(i);
+    }
+    text += '}';
+    const std::optional<Json> parsed = json_parse(text);
+    ASSERT_TRUE(parsed.has_value()) << count;
+    EXPECT_EQ(parsed->str(), expected.str()) << count;  // order and values
+    EXPECT_TRUE(*parsed == expected) << count;
+    EXPECT_EQ(Json::object(std::move(members)).str(), expected.str()) << count;
+  }
+}
+
+TEST(Json, MemberReaderLocatesLastValuesAndSharesTheParserErrors) {
+  const std::string_view keys[] = {"a", "b", "missing"};
+  JsonMember found[3];
+  const std::string text =
+      R"( {"a":1,"\u0062":[true,{"x":"y"}],"c":"z","a":"two\n"} )";
+  ASSERT_EQ(json_scan_members(text, keys, found), JsonScan::kObject);
+  ASSERT_TRUE(found[0].found);
+  EXPECT_EQ(found[0].type, Json::Type::kString);
+  std::string a;
+  json_member_string(found[0], &a);
+  EXPECT_EQ(a, "two\n");
+  ASSERT_TRUE(found[1].found);  // matched through the escaped key
+  EXPECT_EQ(found[1].type, Json::Type::kArray);
+  EXPECT_EQ(found[1].bytes, R"([true,{"x":"y"}])");
+  EXPECT_FALSE(found[2].found);
+
+  EXPECT_EQ(json_scan_members("[1]", keys, found), JsonScan::kNotObject);
+  EXPECT_EQ(json_scan_members("\"s\"", keys, found), JsonScan::kNotObject);
+  for (const char* bad : {"", "{", R"({"a":1,})", R"({"a":[1,2})",
+                          R"({"a":"\q"})", R"({"a":1} x)", "[1,"}) {
+    std::string scan_error, tree_error;
+    EXPECT_EQ(json_scan_members(bad, keys, found, &scan_error),
+              JsonScan::kMalformed)
+        << bad;
+    EXPECT_FALSE(json_parse(bad, &tree_error).has_value()) << bad;
+    EXPECT_EQ(scan_error, tree_error) << bad;
+  }
+}
+
+TEST(Json, EveryEscapeDecodesAtEveryWordOffset) {
+  // Plain runs are scanned eight bytes at a time and decoded a run at a
+  // time: each escape, placed at every offset of a word, must decode to
+  // its bytes, with raw control and high bytes passing through as they are.
+  const std::pair<std::string, std::string> escapes[] = {
+      {R"(\")", "\""},           {R"(\\)", "\\"},
+      {R"(\/)", "/"},            {R"(\b)", "\b"},
+      {R"(\f)", "\f"},           {R"(\n)", "\n"},
+      {R"(\r)", "\r"},           {R"(\t)", "\t"},
+      {R"(\u0041)", "A"},   {R"(\u0000)", std::string(1, '\0')},
+      {R"(\u00e9)", "\xc3\xa9"}, {R"(\u20AC)", "\xe2\x82\xac"},
+  };
+  for (const auto& [escape, decoded] : escapes) {
+    for (std::size_t at = 0; at < 24; ++at) {
+      std::string tail(at % 9, '\x01');
+      tail += "\x7f\xc3\xa9z";
+      std::string text(1, '"');
+      text.append(at, 'a');
+      text += escape;
+      text += tail;
+      text += escape;
+      text += '"';
+      std::string expected(at, 'a');
+      expected += decoded;
+      expected += tail;
+      expected += decoded;
+      const std::optional<Json> parsed = json_parse(text);
+      ASSERT_TRUE(parsed.has_value()) << text;
+      EXPECT_EQ(parsed->as_string(), expected) << text;
+    }
+  }
 }
 
 TEST(Json, NumberFormattingIsCanonical) {

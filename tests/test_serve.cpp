@@ -11,15 +11,18 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/instance_io.hpp"
+#include "engine/batch.hpp"
 #include "perf/alloc.hpp"
 #include "serve/serve.hpp"
 #include "sim/workloads.hpp"
+#include "test_support.hpp"
 
 namespace msrs::serve {
 namespace {
@@ -222,43 +225,125 @@ TEST(Service, HostileInstancesAreRefusedByNameAndPingStillAnswers) {
   EXPECT_EQ(service.stats().solved, 0u);
 }
 
-// Allocations the calling thread makes to admit one prewarmed (cache-hit)
-// inline solve: the transport thread's share of a hit. The counter is
-// thread-local, so the shard worker's share is not in it.
-std::uint64_t hit_admission_allocs(const Instance& instance) {
-  Service service(small_service(1));
+// An inline solve request line for `instance`.
+std::string solve_line(const Instance& instance) {
   Json line = Json::object();
   line.set("id", std::int64_t{1});
   line.set("op", "solve");
   line.set("instance", to_text(instance));
-  const std::string request = line.str();
+  return line.str();
+}
+
+TEST(Service, RelabellingsOfAShapeMeetOnOneShard) {
+  // Solves route by placement_hash, which ignores the order of classes and
+  // of the jobs inside each class: a shape and seven relabellings of it
+  // land on one shard of four, so they are one miss and seven hits.
+  Rng rng(18);
+  for (const Family family : kAllFamilies) {
+    for (const int n : {40, 1000}) {
+      Service service(small_service(4));
+      const Instance base = generate(family, n, n == 40 ? 4 : 16, 5);
+      std::string first;
+      for (int variant = 0; variant < 8; ++variant) {
+        const Instance instance =
+            variant == 0 ? base : test::relabel(base, rng);
+        const std::string response = service.handle(solve_line(instance));
+        EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+        if (variant == 0) first = response;
+        EXPECT_EQ(response, first) << family_name(family) << " n=" << n;
+      }
+      const ServiceStats stats = service.stats();
+      EXPECT_EQ(stats.cache_misses, 1u) << family_name(family) << " n=" << n;
+      EXPECT_EQ(stats.cache_hits, 7u) << family_name(family) << " n=" << n;
+    }
+  }
+}
+
+TEST(Placement, SpreadsDistinctShapesEvenlyAndIgnoresLabels) {
+  // 1024 distinct shapes over 4 shards: every shard gets within 0.8-1.2x
+  // of the mean. Each shape's relabelling hashes the same.
+  Rng rng(1024);
+  std::set<std::uint64_t> keys;
+  std::size_t per_shard[4] = {0, 0, 0, 0};
+  for (std::uint64_t seed = 1; keys.size() < 1024; ++seed) {
+    const Family family = kAllFamilies[seed % std::size(kAllFamilies)];
+    const Instance instance =
+        generate(family, 20 + static_cast<int>(seed % 60), 4, seed);
+    const FlatInstance flat = flatten(instance);
+    engine::CanonicalShape shape;
+    engine::canonical_shape(flat, &shape);
+    if (!keys.insert(shape.key).second) continue;
+    const std::uint64_t placement = engine::placement_hash(flat);
+    EXPECT_EQ(engine::placement_hash(flatten(test::relabel(instance, rng))),
+              placement)
+        << family_name(family) << " seed " << seed;
+    ++per_shard[placement % 4];
+  }
+  for (const std::size_t count : per_shard) {
+    EXPECT_GE(count, 205u);  // 0.8 x 256
+    EXPECT_LE(count, 307u);  // 1.2 x 256
+  }
+}
+
+// Allocations of one prewarmed (cache-hit) inline solve on a 1-shard
+// service, split by thread. `caller` counts the submitting thread: the
+// transport's share (the counter is thread-local). `shard` counts the
+// shard worker between the Done callbacks of two consecutive hits, which
+// run on that worker: one pop, canonical shape, cache lookup and composed
+// response.
+struct HitAllocs {
+  std::uint64_t caller = 0;
+  std::uint64_t shard = 0;
+};
+
+HitAllocs hit_allocs(const Instance& instance) {
+  Service service(small_service(1));
+  const std::string request = solve_line(instance);
   const std::string first = service.handle(request);  // the miss
   EXPECT_EQ(service.handle(request), first);  // a hit; warms thread state
-  std::promise<std::string> answered;
-  Service::Done done = [&answered](std::string&& response) {
-    answered.set_value(std::move(response));
-  };
-  const std::uint64_t allocs = perf::count_allocs(
-      [&] { service.submit(request, std::move(done)); });
-  EXPECT_EQ(answered.get_future().get(), first);
-  EXPECT_EQ(service.stats().cache_hits, 2u);
+  std::promise<std::string> answered[2];
+  std::uint64_t shard_count[2] = {0, 0};
+  Service::Done done[2];
+  for (int k = 0; k < 2; ++k)
+    done[k] = [&answered, &shard_count, k](std::string&& response) {
+      shard_count[k] = perf::alloc_count();
+      answered[k].set_value(std::move(response));
+    };
+  HitAllocs allocs;
+  allocs.caller = perf::count_allocs(
+      [&] { service.submit(request, std::move(done[0])); });
+  EXPECT_EQ(answered[0].get_future().get(), first);
+  service.submit(request, std::move(done[1]));
+  EXPECT_EQ(answered[1].get_future().get(), first);
+  allocs.shard = shard_count[1] - shard_count[0];
+  EXPECT_EQ(service.stats().cache_hits, 3u);
   return allocs;
 }
 
 TEST(Service, HitAdmissionCostDoesNotGrowWithInstanceSize) {
   if (!perf::alloc_counting_enabled())
     GTEST_SKIP() << "counting disabled (ASan)";
-  // A hit never builds an Instance: admission parses the text straight to
-  // a flat listing and its canonical shape, a fixed number of buffers
-  // whatever n and the class count are.
+  // A hit never builds an Instance or a Json tree. The calling thread
+  // scans the request line, parses the text straight to a flat listing
+  // and routes it by placement hash; the shard ranks the canonical shape
+  // into reused buffers. Both are a fixed number of allocations whatever
+  // n and the class count are.
   const Instance small = generate(Family::kUniform, 32, 4, 1);
   const Instance large = generate(Family::kUniform, 1000, 16, 1);
   ASSERT_GT(large.num_classes(), 150);
-  const std::uint64_t small_allocs = hit_admission_allocs(small);
-  const std::uint64_t large_allocs = hit_admission_allocs(large);
-  EXPECT_GT(small_allocs, 0u);
-  EXPECT_LT(large_allocs, 2 * small_allocs)
-      << "n=32: " << small_allocs << " allocations, n=1000: " << large_allocs;
+  const HitAllocs small_allocs = hit_allocs(small);
+  const HitAllocs large_allocs = hit_allocs(large);
+  EXPECT_GT(small_allocs.caller, 0u);
+  EXPECT_LE(small_allocs.caller, 8u);
+  EXPECT_LE(large_allocs.caller, 8u);
+  EXPECT_EQ(large_allocs.caller, small_allocs.caller);
+  EXPECT_EQ(large_allocs.shard, small_allocs.shard);
+  std::printf("allocations per hit: n=32 caller %llu shard %llu, n=1000 "
+              "caller %llu shard %llu\n",
+              static_cast<unsigned long long>(small_allocs.caller),
+              static_cast<unsigned long long>(small_allocs.shard),
+              static_cast<unsigned long long>(large_allocs.caller),
+              static_cast<unsigned long long>(large_allocs.shard));
 }
 
 TEST(Service, WireVersionMismatchIsNamed) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -685,6 +686,67 @@ TEST_P(LoopTransport, DriveOutlastsTheIdleTimeout) {
             2u);
 }
 
+// ---------------- request lines of many keys ----------------
+
+// A request line just under the 1 MiB line bound, all distinct keys:
+// `{"op":"ping","k0":0,...}` or, as an id object, `{"id":{"k0":0,...},
+// "op":"ping"}`.
+std::string many_keys_line(bool as_id) {
+  std::string line = as_id ? R"({"id":{)" : R"({"op":"ping",)";
+  const std::string tail = as_id ? R"(},"op":"ping"})" : "}";
+  for (int k = 0; line.size() + tail.size() + 16 < (1u << 20); ++k) {
+    if (k > 0) line += ',';
+    line += "\"k" + std::to_string(k) + "\":0";
+  }
+  return line + tail;
+}
+
+TEST_P(LoopTransport, AMebibyteOfDistinctKeysDoesNotHoldTheLoop) {
+  // Object parsing is linear in the member count: a line of ~1 MiB of
+  // distinct keys is answered, and a ping on another connection behind
+  // it answers within 2 s. A scan of every earlier key per member took
+  // about 30 s for this line in an optimized build. Unoptimized and
+  // sanitizer builds parse the id object several times slower, so they
+  // get 10 s.
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+  constexpr auto kPingBound = std::chrono::seconds(2);
+#else
+  constexpr auto kPingBound = std::chrono::seconds(10);
+#endif
+  LoopTestServer server(GetParam(), small_service(1));
+  LineClient heavy, probe;
+  std::string error;
+  ASSERT_TRUE(server.connect(heavy, &error)) << error;
+  ASSERT_TRUE(server.connect(probe, &error)) << error;
+  for (const bool as_id : {false, true}) {
+    const std::string line = many_keys_line(as_id);
+    ASSERT_LT(line.size(), std::size_t{1} << 20);
+    ASSERT_TRUE(heavy.send_line(line));
+    // Let the loop take in the whole line before the probe is sent, so
+    // the ping queues behind the parse.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto start = std::chrono::steady_clock::now();
+    std::string answer;
+    ASSERT_TRUE(probe.send_line(R"({"id":2,"op":"ping"})"));
+    ASSERT_TRUE(probe.recv_line(&answer));
+    EXPECT_EQ(answer, R"({"id":2,"ok":true,"op":"ping"})");
+    EXPECT_LT(std::chrono::steady_clock::now() - start, kPingBound)
+        << (as_id ? "id object" : "top level");
+    ASSERT_TRUE(heavy.recv_line(&answer));
+    if (as_id) {
+      // The id object is echoed whole, in its key order.
+      const std::string ack = R"(},"ok":true,"op":"ping"})";
+      ASSERT_GT(answer.size(), line.size() - 64);
+      EXPECT_EQ(answer.rfind(R"({"id":{"k0":0,"k1":0,)", 0), 0u);
+      EXPECT_EQ(answer.substr(answer.size() - ack.size()), ack);
+    } else {
+      EXPECT_EQ(answer, R"({"id":null,"ok":true,"op":"ping"})");
+    }
+  }
+  server.stop();
+}
+
 // ---------------- the UNIX listener's socket file ----------------
 
 TEST(UnixListener, StaleFileDoesNotBlockTheBindAndThePathGoesOnExit) {
@@ -741,6 +803,15 @@ TEST(UnixListener, OverlongPathIsADescriptiveError) {
 TcpOptions with_http(TcpOptions options = {}) {
   options.http = "127.0.0.1:0";
   return options;
+}
+
+// This process's peak resident set (VmHWM) in kB, 0 when unknown.
+long vm_hwm_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  return 0;
 }
 
 // One full HTTP exchange: sends raw bytes, reads to EOF (every route body
@@ -850,6 +921,63 @@ TEST(HttpListener, ScrapesCountAgainstTheConnectionBudget) {
   while (scrape.recv_line(&line)) shed += line + "\n";
   EXPECT_NE(shed.find("HTTP/1.1 503"), std::string::npos) << shed;
   EXPECT_NE(shed.find("overloaded"), std::string::npos) << shed;
+  client.close();
+  server.stop();
+}
+
+TEST(HttpListener, StreamingHeadsNeitherHoldTheLoopNorGrowTheReadBuffer) {
+  if (!tcp_transport_available())
+    GTEST_SKIP() << "no TCP transport on this platform";
+  LoopTestServer server(AddressFamily::kTcp, small_service(1), with_http());
+  // Two clients stream an endless request head as fast as the server
+  // takes it, reconnecting whenever it answers 400 and closes.
+  std::atomic<bool> stop{false};
+  const auto stream = [&server, &stop] {
+    const std::string chunk(64 << 10, 'x');
+    while (!stop.load()) {
+      LineClient client;
+      std::string error;
+      if (!client.connect("", server.http_target(), &error)) continue;
+      const std::string head = "GET /metrics HTTP/1.1\r\nX-Endless: ";
+      if (!client.send_bytes(head.data(), head.size())) continue;
+      while (!stop.load() && client.send_bytes(chunk.data(), chunk.size())) {
+      }
+    }
+  };
+  const long hwm_before = vm_hwm_kb();
+  std::thread first(stream), second(stream);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  LineClient client;
+  std::string error;
+  ASSERT_TRUE(server.connect(client, &error)) << error;
+  std::chrono::steady_clock::duration slowest{};
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    std::string line;
+    ASSERT_TRUE(client.send_line(R"({"id":1,"op":"ping"})"));
+    ASSERT_TRUE(client.recv_line(&line));
+    EXPECT_EQ(line, R"({"id":1,"ok":true,"op":"ping"})");
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - start);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const long hwm_after = vm_hwm_kb();
+  stop.store(true);
+  first.join();
+  second.join();
+  EXPECT_LT(slowest, std::chrono::milliseconds(500));
+  // One wakeup reads at most the 8 KiB head bound plus one 4 KiB chunk.
+  EXPECT_LE(server.service().metrics_snapshot().gauge_or(
+                "serve.conns.read_buf_highwater"),
+            8192 + 4096);
+  // Unbounded head buffers grew the peak by 40-300 MB. ASan's quarantine
+  // keeps freed blocks resident, so there the peak bounds nothing.
+#if defined(__SANITIZE_ADDRESS__)
+  constexpr long kPeakGrowthKb = std::numeric_limits<long>::max();
+#else
+  constexpr long kPeakGrowthKb = 32 * 1024;
+#endif
+  EXPECT_LT(hwm_after - hwm_before, kPeakGrowthKb) << "kB";
   client.close();
   server.stop();
 }
