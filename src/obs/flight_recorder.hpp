@@ -2,14 +2,14 @@
 /// FlightRecorder: always-on, fixed-capacity binary record of every request
 /// lifecycle event — the post-mortem instrument of the serving layer.
 ///
-/// Tracing (obs/trace.hpp) answers "what is happening" with *sampled* spans;
-/// the flight recorder answers "what happened in the seconds before this
-/// spike / shed burst / crash" by recording **every** event, unsampled, into
-/// per-thread lock-free ring buffers of compact 24-byte entries. record()
-/// is a handful of plain stores plus one relaxed atomic publish on a ring
-/// owned by the calling thread — cheap enough to leave on in production
-/// (bench E14 pins the per-event cost; the timestamp is taken by the
-/// caller, who usually already holds a trace stamp).
+/// The one lifecycle record of the serving layer: it answers "what happened
+/// in the seconds before this spike / shed burst / crash" by recording
+/// **every** event, unsampled, into per-thread lock-free ring buffers of
+/// compact 24-byte entries. record() is a handful of plain stores plus one
+/// relaxed atomic publish on a ring owned by the calling thread — cheap
+/// enough to leave on in production (bench E14 pins the per-event cost; the
+/// timestamp is taken by the caller, who usually already holds a stamp of
+/// its obs/trace.hpp TraceContext).
 ///
 /// Three ways out of the rings:
 ///  - collect()/render_jsonl(): merge every ring into one deterministic

@@ -1,6 +1,6 @@
 /// \file
 /// Umbrella header of the telemetry subsystem: the metrics registry
-/// (obs/metrics.hpp), request-lifecycle tracing (obs/trace.hpp), the
+/// (obs/metrics.hpp), the request-lifecycle stamps (obs/trace.hpp), the
 /// always-on flight recorder (obs/flight_recorder.hpp), and the
 /// monitoring timeseries + anomaly watchdog (obs/timeseries.hpp).
 #pragma once

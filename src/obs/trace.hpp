@@ -1,25 +1,15 @@
 /// \file
-/// Request-lifecycle tracing: per-request stage stamps, sampled JSONL span
-/// emission, and the always-on slow-request log.
+/// Request-lifecycle stamps: the TraceContext every request carries from
+/// admission to its response, and the stage arithmetic over it.
 ///
-/// Every request admitted by the serving layer carries a TraceContext that
-/// is stamped at admission, enqueue, shard dispatch, solve start/end and
-/// response write. At response time the context collapses into a Span —
-/// stage durations plus provenance (shard, winning solver, cache hit/miss,
-/// error code) — which the Tracer then fans out: every Nth span
-/// (deterministic, sequence-number sampling) is appended as one JSON line
-/// to the `--trace` sink, and any span whose total latency exceeds the
-/// slow threshold is logged to stderr regardless of sampling, so tail
-/// outliers are never invisible.
+/// The serving layer stamps a TraceContext at admission, enqueue, shard
+/// dispatch and the end of the solve. When the request ends, the stamps
+/// feed its flight-recorder events (obs/flight_recorder.hpp), the
+/// `serve.latency.*` stage histograms and the slow-request log.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <string>
-
-#include "util/json.hpp"
-#include "util/sync.hpp"
 
 namespace msrs::obs {
 
@@ -29,82 +19,19 @@ using TraceClock = std::chrono::steady_clock;
 /// Per-request stage stamps, carried with the request through the service.
 struct TraceContext {
   std::uint64_t seq = 0;  ///< service-wide request sequence number
-  TraceClock::time_point admit;        ///< submit() entry (parse begins)
-  TraceClock::time_point enqueue;      ///< admitted into the shard queue
-  TraceClock::time_point dispatch;     ///< dequeued by the shard worker
-  TraceClock::time_point solve_begin;  ///< cache probe / portfolio start
-  TraceClock::time_point solve_end;    ///< result rendered
-};
-
-/// One finished request, ready for exposition: stage durations in
-/// microseconds plus provenance.
-struct Span {
-  std::uint64_t seq = 0;     ///< request sequence number
-  int shard = -1;            ///< serving shard (-1: answered inline)
-  std::string solver;        ///< winning solver ("" when none)
-  const char* cache = "";    ///< "hit" | "miss" | "bypass" | ""
-  std::string error;         ///< named wire error ("" = ok)
-  double admission_us = 0;   ///< submit entry -> admitted to the queue
-  double queue_us = 0;       ///< queued -> picked up by the shard worker
-  double solve_us = 0;       ///< cache probe + portfolio solve
-  double write_us = 0;       ///< response rendered -> callback returned
-  double total_us = 0;       ///< submit entry -> callback returned
-
-  /// One JSONL line (no trailing newline); always a valid JSON object.
-  std::string line() const;
-};
-
-/// Tracer configuration (ServiceOptions::trace).
-struct TraceOptions {
-  /// JSONL span sink path; empty disables span emission ("-" = stderr).
-  std::string path;
-  /// Emit every Nth span (sequence-number sampling; 1 = every request,
-  /// 0 behaves as 1).
-  std::uint64_t sample_every = 64;
-  /// Always-on slow-request log threshold, milliseconds; a request slower
-  /// than this is logged to stderr even when unsampled. <= 0 disables.
-  double slow_ms = 1000.0;
-};
-
-/// Thread-safe span fan-out: the sampled JSONL sink plus the slow log.
-class Tracer {
- public:
-  /// Opens the sink (when configured). A sink that cannot be opened
-  /// disables span emission and reports via failed().
-  explicit Tracer(TraceOptions options);
-
-  /// True when a configured sink path could not be opened.
-  bool failed() const { return failed_; }
-
-  /// Deterministic sampling decision for a sequence number.
-  bool sampled(std::uint64_t seq) const {
-    return sink_open_ &&
-           seq % (options_.sample_every == 0 ? 1 : options_.sample_every) == 0;
-  }
-
-  /// True when `total_us` crosses the slow-request threshold.
-  bool slow(double total_us) const {
-    return options_.slow_ms > 0.0 && total_us >= options_.slow_ms * 1000.0;
-  }
-
-  /// Routes one finished span: writes the JSON line when `sampled(seq)`,
-  /// and the stderr slow line when `slow(total_us)`.
-  void observe(const Span& span) MSRS_EXCLUDES(mutex_);
-
-  /// Flushes the sink (shutdown path).
-  void flush() MSRS_EXCLUDES(mutex_);
-
- private:
-  TraceOptions options_;
-  bool sink_open_ = false;
-  bool to_stderr_ = false;
-  bool failed_ = false;
-  util::Mutex mutex_;
-  /// The JSONL span sink (all writes serialized under mutex_).
-  std::ofstream file_ MSRS_GUARDED_BY(mutex_);
+  TraceClock::time_point admit;      ///< submit() entry (parse begins)
+  TraceClock::time_point enqueue;    ///< admitted into the shard queue
+  TraceClock::time_point dispatch;   ///< dequeued by a shard; solve begins
+  TraceClock::time_point solve_end;  ///< result rendered
 };
 
 /// Microseconds between two stamps (0 when either is unset/reversed).
-double stage_us(TraceClock::time_point from, TraceClock::time_point to);
+inline double stage_us(TraceClock::time_point from,
+                       TraceClock::time_point to) {
+  if (from.time_since_epoch().count() == 0 ||
+      to.time_since_epoch().count() == 0 || to < from)
+    return 0.0;
+  return std::chrono::duration<double, std::micro>(to - from).count();
+}
 
 }  // namespace msrs::obs

@@ -1,5 +1,7 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <future>
 #include <utility>
@@ -13,6 +15,9 @@ namespace {
 // Lifecycle-stage histogram names, in decomposition order.
 constexpr const char* kStageNames[] = {"admission", "queue", "solve", "write",
                                        "total"};
+
+// Cache states by their solve_end recorder value (obs/flight_recorder.hpp).
+constexpr const char* kCacheStates[] = {"miss", "hit", "bypass"};
 
 std::string stage_metric(std::string_view stage) {
   return "serve.latency." + std::string(stage) + "_us";
@@ -52,8 +57,11 @@ std::string dump_recorder_response(const Json& id,
   return response.str();
 }
 
-// The legacy counter-only body shared by both stats_response overloads.
-Json stats_body(const Json& id, const ServiceStats& stats) {
+}  // namespace
+
+std::string stats_response(const Json& id, const ServiceStats& stats,
+                           const obs::MetricsSnapshot& snapshot) {
+  // The counter body first: its key order predates the telemetry keys.
   Json response = Json::object();
   response.set("id", id);
   response.set("ok", true);
@@ -67,18 +75,6 @@ Json stats_body(const Json& id, const ServiceStats& stats) {
   response.set("cache_misses", count_json(stats.cache_misses));
   response.set("cache_evictions", count_json(stats.cache_evictions));
   response.set("cache_entries", count_json(stats.cache_entries));
-  return response;
-}
-
-}  // namespace
-
-std::string stats_response(const Json& id, const ServiceStats& stats) {
-  return stats_body(id, stats).str();
-}
-
-std::string stats_response(const Json& id, const ServiceStats& stats,
-                           const obs::MetricsSnapshot& snapshot) {
-  Json response = stats_body(id, stats);
 
   Json depths = Json::array();
   for (const std::size_t d : stats.queue_depths) depths.push_back(count_json(d));
@@ -163,9 +159,9 @@ Service::Service(ServiceOptions options,
                  const engine::SolverRegistry& registry)
     : options_(std::move(options)),
       registry_(&registry),
-      tracer_(std::make_unique<obs::Tracer>(options_.trace)),
-      pool_(options_.shards == 0 ? std::thread::hardware_concurrency()
-                                 : options_.shards) {
+      pool_(std::min(kMaxShards, options_.shards == 0
+                                     ? std::thread::hardware_concurrency()
+                                     : options_.shards)) {
   // Pre-register every exposed metric so the stats key set is stable from
   // the first snapshot, and resolve the hot-path handles once.
   received_c_ = &metrics_.counter("serve.received");
@@ -245,28 +241,59 @@ void Service::respond(Done& done, std::string&& line) {
 
 void Service::respond_error(Done& done, const Json& id, WireError code,
                             std::string_view detail,
-                            const obs::TraceContext* trace) {
+                            const obs::TraceContext& trace) {
+  const auto index = static_cast<std::size_t>(code);
   errors_c_->inc();
-  error_code_c_[static_cast<std::size_t>(code)]->inc();
-  responded_c_->inc();
-  if (recorder_ != nullptr && trace != nullptr)
-    recorder_->record(obs::EventKind::kError, trace->seq,
-                      obs::recorder_ts_ns(obs::TraceClock::now()), 0xff,
-                      error_label_[static_cast<std::size_t>(code)], 0);
-  done(error_response(id, code, detail));
-  if (trace != nullptr) {
-    const double total =
-        obs::stage_us(trace->admit, obs::TraceClock::now());
-    if (tracer_->sampled(trace->seq) || tracer_->slow(total)) {
-      obs::Span span;
-      span.seq = trace->seq;
-      span.error = std::string(wire_error_name(code));
-      span.admission_us = obs::stage_us(trace->admit, trace->enqueue);
-      span.queue_us = obs::stage_us(trace->enqueue, trace->dispatch);
-      span.total_us = total;
-      tracer_->observe(span);
-    }
+  error_code_c_[index]->inc();
+  end_request(done, error_response(id, code, detail), trace,
+              obs::EventKind::kError, 0xff,
+              recorder_ != nullptr ? error_label_[index] : 0, 0, {});
+}
+
+void Service::end_request(Done& done, std::string&& line,
+                          const obs::TraceContext& trace, obs::EventKind kind,
+                          std::uint8_t shard, std::uint16_t label,
+                          std::uint32_t value, std::string_view solver) {
+  const obs::TraceClock::time_point end = obs::TraceClock::now();
+  // An error has no solve stamp: its event is stamped at the end.
+  const bool served = kind != obs::EventKind::kError;
+  if (recorder_ != nullptr) {
+    recorder_->record(kind, trace.seq,
+                      obs::recorder_ts_ns(served ? trace.solve_end : end),
+                      shard, label, value);
+    if (served)
+      recorder_->record(obs::EventKind::kWrite, trace.seq,
+                        obs::recorder_ts_ns(end), shard, 0,
+                        static_cast<std::uint32_t>(line.size()));
   }
+  // Stage decomposition of a served request. Everything here runs BEFORE
+  // the callback so that a synchronous observer (handle(), the stats op)
+  // sees consistent counts; "write" therefore covers post-solve
+  // bookkeeping, not the ordered-writer flush.
+  const double queue_us = obs::stage_us(trace.enqueue, trace.dispatch);
+  const double solve_us = obs::stage_us(trace.dispatch, trace.solve_end);
+  const double total_us = obs::stage_us(trace.admit, end);
+  if (served) {
+    lat_admission_->record(obs::stage_us(trace.admit, trace.enqueue));
+    lat_queue_->record(queue_us);
+    lat_solve_->record(solve_us);
+    lat_write_->record(obs::stage_us(trace.solve_end, end));
+    lat_total_->record(total_us);
+  }
+  if (options_.slow_ms > 0.0 && total_us >= options_.slow_ms * 1000.0) {
+    const std::string_view cache =
+        kind == obs::EventKind::kSolveEnd ? kCacheStates[value] : "-";
+    if (solver.empty()) solver = "-";
+    std::fprintf(stderr,
+                 "msrs-serve: slow request seq=%llu total_us=%.0f "
+                 "queue_us=%.0f solve_us=%.0f shard=%d solver=%.*s "
+                 "cache=%.*s\n",
+                 static_cast<unsigned long long>(trace.seq), total_us,
+                 queue_us, solve_us, shard == 0xff ? -1 : shard,
+                 static_cast<int>(solver.size()), solver.data(),
+                 static_cast<int>(cache.size()), cache.data());
+  }
+  respond(done, std::move(line));
 }
 
 void Service::finish_item() {
@@ -291,12 +318,12 @@ void Service::submit(const std::string& line, Done done) {
   std::optional<Request> request =
       parse_request(line, &code, &detail, &salvaged_id);
   if (!request) {
-    respond_error(done, salvaged_id, code, detail, &trace);
+    respond_error(done, salvaged_id, code, detail, trace);
     return;
   }
   if (!accepting_.load()) {
     respond_error(done, request->id, WireError::kShuttingDown,
-                  "service is shutting down", &trace);
+                  "service is shutting down", trace);
     return;
   }
   if (request->wire != 0 && request->wire != kWireVersion) {
@@ -304,7 +331,7 @@ void Service::submit(const std::string& line, Done done) {
                   "client speaks wire version " +
                       std::to_string(request->wire) + ", service speaks " +
                       std::to_string(kWireVersion),
-                  &trace);
+                  trace);
     return;
   }
 
@@ -326,7 +353,7 @@ void Service::submit(const std::string& line, Done done) {
     case Op::kDumpRecorder:
       if (recorder_ == nullptr) {
         respond_error(done, request->id, WireError::kBadRequest,
-                      "the flight recorder is disabled", &trace);
+                      "the flight recorder is disabled", trace);
       } else {
         respond(done, dump_recorder_response(request->id, *recorder_,
                                              request->canonical));
@@ -365,7 +392,7 @@ void Service::submit(const std::string& line, Done done) {
             rejected_c_->inc();
             respond_error(item.done, item.id, WireError::kOverloaded,
                           "session op budget of this shard is full",
-                          &item.trace);
+                          item.trace);
             return;
           }
           ++shard.queued_session_ops;
@@ -376,7 +403,7 @@ void Service::submit(const std::string& line, Done done) {
             shard.session_gate_cv.wait(shard.session_gate_mutex);
           if (!accepting_.load()) {
             respond_error(item.done, item.id, WireError::kShuttingDown,
-                          "service is shutting down", &item.trace);
+                          "service is shutting down", item.trace);
             return;
           }
           ++shard.queued_session_ops;
@@ -399,7 +426,7 @@ void Service::submit(const std::string& line, Done done) {
                              : WireError::kOverloaded,
                       closed ? "service is shutting down"
                              : "request queue is full",
-                      &item.trace);
+                      item.trace);
         finish_item();
       }
       return;
@@ -418,7 +445,7 @@ void Service::submit(const std::string& line, Done done) {
     const auto spec = parse_spec(request->spec, &error);
     if (!spec) {
       respond_error(item.done, item.id, WireError::kBadSpec, error,
-                    &item.trace);
+                    item.trace);
       return;
     }
     item.flat = flatten(generate(*spec));
@@ -427,7 +454,7 @@ void Service::submit(const std::string& line, Done done) {
     auto parsed = parse_flat(request->instance, &error);
     if (!parsed) {
       respond_error(item.done, item.id, WireError::kBadInstance, error,
-                    &item.trace);
+                    item.trace);
       return;
     }
     item.flat = std::move(*parsed);
@@ -453,7 +480,7 @@ void Service::submit(const std::string& line, Done done) {
                   closed ? WireError::kShuttingDown : WireError::kOverloaded,
                   closed ? "service is shutting down"
                          : "request queue is full",
-                  &item.trace);
+                  item.trace);
     finish_item();
   }
 }
@@ -497,7 +524,7 @@ void Service::process(Shard& shard, Item& item) {
   if (abort_.load()) {
     respond_error(item.done, item.id, WireError::kShuttingDown,
                   "service stopped before this request was served",
-                  &item.trace);
+                  item.trace);
     finish_item();
     return;
   }
@@ -506,15 +533,14 @@ void Service::process(Shard& shard, Item& item) {
     finish_item();
     return;
   }
-  item.trace.solve_begin = item.trace.dispatch;
+  // The solve begins at dispatch: the cache probe or the race is next.
   if (recorder_ != nullptr)
     recorder_->record(obs::EventKind::kSolveBegin, item.trace.seq,
-                      obs::recorder_ts_ns(item.trace.solve_begin), shard_id,
-                      0, 0);
+                      obs::recorder_ts_ns(item.trace.dispatch), shard_id, 0,
+                      0);
   std::string response;
   std::string solver;
-  const char* cache_state = "";
-  std::uint32_t cache_value = 0;  // recorder encoding: miss/hit/bypass
+  std::uint32_t cache_value = 0;  // kCacheStates index: miss/hit/bypass
   if (item.budget_ms != 0) {
     // Non-default effort changes the result, so it must not share cache
     // entries with default-budget traffic; solve uncached.
@@ -524,7 +550,6 @@ void Service::process(Shard& shard, Item& item) {
         engine::PortfolioSolver(*registry_, per_request)
             .solve(item.flat.build());
     solver = result.solver;
-    cache_state = "bypass";
     cache_value = 2;
     response = solve_response(item.id, result);
     shard.solved.fetch_add(1);
@@ -532,7 +557,6 @@ void Service::process(Shard& shard, Item& item) {
              const TailCache::Entry* entry = shard.cache.find(shard.shape)) {
     response = compose_response(item.id, entry->second.tail);
     solver = entry->second.solver;
-    cache_state = "hit";
     cache_value = 1;
   } else {
     engine::PortfolioResult result =
@@ -540,19 +564,11 @@ void Service::process(Shard& shard, Item& item) {
     std::string tail = solve_response_tail(result);
     response = compose_response(item.id, tail);
     solver = result.solver;
-    cache_state = "miss";
     shard.cache.insert(std::move(shard.shape),
                        CachedResult{std::move(tail), std::move(result.solver)});
     shard.solved.fetch_add(1);
   }
   item.trace.solve_end = obs::TraceClock::now();
-  if (recorder_ != nullptr) {
-    const auto label = solver_label_.find(solver);
-    recorder_->record(obs::EventKind::kSolveEnd, item.trace.seq,
-                      obs::recorder_ts_ns(item.trace.solve_end), shard_id,
-                      label != solver_label_.end() ? label->second : 0,
-                      cache_value);
-  }
   // Mirror the (single-threaded) LRU counters into atomics for stats().
   const LruStats& cache = shard.cache.stats();
   shard.hits.store(cache.hits);
@@ -560,55 +576,20 @@ void Service::process(Shard& shard, Item& item) {
   shard.evictions.store(cache.evictions);
   shard.entries.store(cache.entries);
   shard.requests->inc();
-  const obs::TraceClock::time_point end = obs::TraceClock::now();
-  if (recorder_ != nullptr)
-    recorder_->record(obs::EventKind::kWrite, item.trace.seq,
-                      obs::recorder_ts_ns(end), shard_id, 0,
-                      static_cast<std::uint32_t>(response.size()));
-
-  // Stage decomposition: every solve request feeds the five lifecycle
-  // histograms; spans are materialized only when sampled or slow. All
-  // telemetry is recorded BEFORE the response is delivered so that a
-  // synchronous observer (handle(), the stats op) sees a consistent
-  // count; "write" therefore covers post-solve bookkeeping, not the
-  // ordered-writer flush.
-  const double admission_us = obs::stage_us(item.trace.admit,
-                                            item.trace.enqueue);
-  const double queue_us = obs::stage_us(item.trace.enqueue,
-                                        item.trace.dispatch);
-  const double solve_us = obs::stage_us(item.trace.solve_begin,
-                                        item.trace.solve_end);
-  const double write_us = obs::stage_us(item.trace.solve_end, end);
-  const double total_us = obs::stage_us(item.trace.admit, end);
-  lat_admission_->record(admission_us);
-  lat_queue_->record(queue_us);
-  lat_solve_->record(solve_us);
-  lat_write_->record(write_us);
-  lat_total_->record(total_us);
-  if (tracer_->sampled(item.trace.seq) || tracer_->slow(total_us)) {
-    obs::Span span;
-    span.seq = item.trace.seq;
-    span.shard = shard.index;
-    span.solver = solver;
-    span.cache = cache_state;
-    span.admission_us = admission_us;
-    span.queue_us = queue_us;
-    span.solve_us = solve_us;
-    span.write_us = write_us;
-    span.total_us = total_us;
-    tracer_->observe(span);
-  }
-  respond(item.done, std::move(response));
+  const auto label = solver_label_.find(solver);  // empty: recorder off
+  end_request(item.done, std::move(response), item.trace,
+              obs::EventKind::kSolveEnd, shard_id,
+              label != solver_label_.end() ? label->second : 0, cache_value,
+              solver);
   finish_item();
 }
 
 void Service::process_session(Shard& shard, Item& item) {
-  item.trace.solve_begin = item.trace.dispatch;
   const auto found = shard.sessions.find(item.session);
   const auto unknown_session = [this, &item] {
     respond_error(item.done, item.id, WireError::kUnknownSession,
                   "no open session named '" + item.session + "'",
-                  &item.trace);
+                  item.trace);
   };
   std::string response;
   obs::EventKind session_kind = obs::EventKind::kSessionClose;
@@ -618,7 +599,7 @@ void Service::process_session(Shard& shard, Item& item) {
       if (found != shard.sessions.end()) {
         respond_error(item.done, item.id, WireError::kBadRequest,
                       "session '" + item.session + "' is already open",
-                      &item.trace);
+                      item.trace);
         return;
       }
       // Global cap, checked optimistically: open_session is rare, so the
@@ -628,7 +609,7 @@ void Service::process_session(Shard& shard, Item& item) {
         respond_error(item.done, item.id, WireError::kSessionLimit,
                       "open sessions are capped at " +
                           std::to_string(options_.session_limit),
-                      &item.trace);
+                      item.trace);
         return;
       }
       engine::SessionOptions session_options;
@@ -662,7 +643,7 @@ void Service::process_session(Shard& shard, Item& item) {
                       "job " + std::to_string(item.job) +
                           " is not an alive job of session '" +
                           item.session + "'",
-                      &item.trace);
+                      item.trace);
         return;
       }
       session_cancels_c_->inc();
@@ -710,27 +691,12 @@ void Service::process_session(Shard& shard, Item& item) {
     default:
       return;  // unreachable: submit() routes only session ops here
   }
+  // Session ops feed the same lifecycle histograms as solves ("solve"
+  // covers the session mutation/repair work).
   item.trace.solve_end = obs::TraceClock::now();
   shard.requests->inc();
-  const obs::TraceClock::time_point end = obs::TraceClock::now();
-  if (recorder_ != nullptr) {
-    const std::uint8_t shard_id = static_cast<std::uint8_t>(shard.index);
-    recorder_->record(session_kind, item.trace.seq,
-                      obs::recorder_ts_ns(item.trace.solve_end), shard_id, 0,
-                      session_value);
-    recorder_->record(obs::EventKind::kWrite, item.trace.seq,
-                      obs::recorder_ts_ns(end), shard_id, 0,
-                      static_cast<std::uint32_t>(response.size()));
-  }
-  // Session ops feed the same lifecycle histograms as solves ("solve"
-  // covers the session mutation/repair work); spans stay solve-only.
-  lat_admission_->record(obs::stage_us(item.trace.admit, item.trace.enqueue));
-  lat_queue_->record(obs::stage_us(item.trace.enqueue, item.trace.dispatch));
-  lat_solve_->record(
-      obs::stage_us(item.trace.solve_begin, item.trace.solve_end));
-  lat_write_->record(obs::stage_us(item.trace.solve_end, end));
-  lat_total_->record(obs::stage_us(item.trace.admit, end));
-  respond(item.done, std::move(response));
+  end_request(item.done, std::move(response), item.trace, session_kind,
+              static_cast<std::uint8_t>(shard.index), 0, session_value, {});
 }
 
 ServiceStats Service::stats() const {
@@ -814,7 +780,6 @@ bool Service::shutdown(std::chrono::milliseconds deadline) {
       while (pending_ != 0) drained_.wait(pending_mutex_);
     }
     pool_.shutdown();  // shard loops exit once their queues are drained
-    tracer_->flush();
     shutdown_result_ = drained;
   });
   return shutdown_result_;

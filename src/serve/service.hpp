@@ -27,12 +27,19 @@
 /// (ServiceOptions::session_queue_budget) bounds how much of a queue a
 /// churn burst may occupy, so one chatty session cannot starve solve ops.
 ///
-/// Determinism: a response body is a pure function of the request (solver
-/// determinism; cache provenance is kept out of the body), and same-shape
-/// requests hit the same shard FIFO in arrival order — so the response
-/// *bytes* per request are identical at any shard count, which the serving
+/// Determinism: a response body is a pure function of the request and of
+/// the earlier same-shape requests on its shard (a cache hit answers with
+/// the tail of whichever relabelling of the shape missed first; cache
+/// provenance is kept out of the body). Same-shape requests hit one shard
+/// FIFO in arrival order at any shard count, so the response *bytes* of a
+/// request stream are identical at any shard count, which the serving
 /// smoke test asserts. Only completion order varies; transports restore
 /// input order with an OrderedWriter (serve/transport.hpp).
+///
+/// Every request that reaches a solve, a session op or a named error ends
+/// through one private path (Service::end_request): its terminal flight-
+/// recorder events, the lifecycle-stage histograms and the slow-request
+/// log, all before the response callback fires.
 #pragma once
 
 #include <atomic>
@@ -58,9 +65,14 @@
 
 namespace msrs::serve {
 
+/// Upper bound on a Service's effective shard count: the flight recorder
+/// stores the shard in one byte, and 0xff means "no shard".
+inline constexpr unsigned kMaxShards = 255;
+
 /// Configuration of one Service.
 struct ServiceOptions {
-  unsigned shards = 4;  ///< worker shards; 0 = hardware concurrency
+  /// Worker shards; 0 = hardware concurrency. Capped at kMaxShards.
+  unsigned shards = 4;
   std::size_t queue_depth = 1024;  ///< per-shard admission queue bound
   /// Per-shard result-cache bound, in canonical shapes (0 = unbounded).
   std::size_t cache_capacity = 1 << 14;
@@ -84,10 +96,10 @@ struct ServiceOptions {
   /// Per-session repair-memo bound, in canonical shapes
   /// (engine/session.hpp; session-local by design — determinism).
   std::size_t session_cache = 256;
-  /// Request-lifecycle tracing: the sampled `--trace` JSONL span sink and
-  /// the always-on slow-request log (obs/trace.hpp). An empty path only
-  /// disables span emission; the slow log stays armed.
-  obs::TraceOptions trace;
+  /// Slow-request log threshold, milliseconds: a request slower than this
+  /// from admission to response logs one `slow request` line to stderr.
+  /// <= 0 disables.
+  double slow_ms = 1000.0;
   /// Flight-recorder per-thread ring capacity, in events (0 disables the
   /// recorder; the solve path then skips every record() call).
   std::size_t recorder_events = 1 << 14;
@@ -112,14 +124,11 @@ struct ServiceStats {
   std::size_t cache_entries = 0;    ///< resident entries, all shards
   unsigned shards = 0;              ///< configured shard count
   std::vector<std::size_t> queue_depths;    ///< per-shard queued requests
-  std::vector<std::size_t> shard_requests;  ///< per-shard served solves
+  /// Per-shard served requests: solves and successful session ops.
+  std::vector<std::size_t> shard_requests;
 };
 
-/// Renders the `stats` response line for a counter snapshot (the legacy
-/// counter-only body; the live `stats` op uses the telemetry overload).
-std::string stats_response(const Json& id, const ServiceStats& stats);
-
-/// Renders the full `stats` response: the counter body plus queue depths,
+/// Renders the `stats` response: the counter body plus queue depths,
 /// per-shard throughput, the per-code error breakdown, solver-win and
 /// connection counters, and the p50/p95/p99 latency decomposition by
 /// lifecycle stage — all read from the metrics snapshot.
@@ -217,7 +226,7 @@ class Service {
   };
 
   // A cached solve: the rendered response tail plus the winning solver's
-  // name, so cache-hit spans keep their provenance.
+  // name, so a hit's solve_end event and slow line keep their provenance.
   struct CachedResult {
     std::string tail;
     std::string solver;
@@ -268,15 +277,21 @@ class Service {
   void release_session_slot(Shard& shard);
   void respond(Done& done, std::string&& line);
   void respond_error(Done& done, const Json& id, WireError code,
-                     std::string_view detail,
-                     const obs::TraceContext* trace = nullptr);
+                     std::string_view detail, const obs::TraceContext& trace);
+  // The one end of every solve, session op and named error: records the
+  // terminal recorder event `kind` (kSolveEnd, a session kind or kError)
+  // and, unless it is an error, `write`; feeds the lifecycle histograms
+  // (not for errors); writes the slow-request line; then respond()s.
+  void end_request(Done& done, std::string&& line,
+                   const obs::TraceContext& trace, obs::EventKind kind,
+                   std::uint8_t shard, std::uint16_t label,
+                   std::uint32_t value, std::string_view solver);
   // pending_ bookkeeping of queued items.
   void finish_item() MSRS_EXCLUDES(pending_mutex_);
 
   ServiceOptions options_;
   const engine::SolverRegistry* registry_;
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<obs::Watchdog> watchdog_;
   util::Mutex monitor_mutex_;  // serializes monitor_tick()
@@ -308,7 +323,7 @@ class Service {
   obs::Counter* session_fallbacks_c_ = nullptr;
   obs::Gauge* session_active_g_ = nullptr;
   std::atomic<std::size_t> active_sessions_{0};
-  std::atomic<std::uint64_t> seq_{0};  // request sequence (trace sampling)
+  std::atomic<std::uint64_t> seq_{0};  // request sequence (recorder seq)
   std::vector<std::unique_ptr<Shard>> shards_;
   ThreadPool pool_;
   std::atomic<bool> accepting_{true};

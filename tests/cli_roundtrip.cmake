@@ -65,3 +65,27 @@ endif()
 if(NOT sweep_a STREQUAL sweep_b)
   message(FATAL_ERROR "sweep report differs across thread counts")
 endif()
+
+# Unsigned flags refuse a sign and out-of-range values by name (exit 2)
+# before anything starts: std::stoul used to read "-1" as ULONG_MAX. The
+# shard count stops at 255, the recorder's one-byte shard field.
+foreach(bad "serve;--queue-depth=-1" "serve;--shards=-1" "serve;--shards=256"
+            "serve;--max-conns=+5" "serve;--recorder-events=99999999999999999999"
+            "drive;uniform:n=8,m=2;--emit=-;--conns=-1")
+  list(GET bad 0 command)
+  list(SUBLIST bad 1 -1 flags)
+  list(GET flags -1 flag)
+  string(REGEX REPLACE "=.*" "" flag "${flag}")
+  execute_process(
+    COMMAND ${CLI} ${command} ${flags}
+    INPUT_FILE /dev/null
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${command} ${flags} exited ${rc}, not 2:\n${err}")
+  endif()
+  if(NOT err MATCHES "${flag} needs an unsigned integer")
+    message(FATAL_ERROR "${command} ${flags} did not name ${flag}:\n${err}")
+  endif()
+endforeach()

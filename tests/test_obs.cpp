@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,85 +250,6 @@ TEST(Prometheus, NoInfoMeansNoInfoKeyInJson) {
   MetricsRegistry registry;
   registry.counter("x").inc();
   EXPECT_EQ(registry.snapshot().json().find("info"), nullptr);
-}
-
-TEST(Trace, SpanLineIsValidJson) {
-  Span span;
-  span.seq = 7;
-  span.shard = 2;
-  span.solver = "three_halves";
-  span.cache = "miss";
-  span.admission_us = 1.5;
-  span.queue_us = 2.5;
-  span.solve_us = 100.0;
-  span.write_us = 0.5;
-  span.total_us = 104.5;
-  const std::optional<Json> parsed = json_parse(span.line());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->find("seq")->as_number(), 7.0);
-  EXPECT_EQ(parsed->find("shard")->as_number(), 2.0);
-  EXPECT_EQ(parsed->find("solver")->as_string(), "three_halves");
-  EXPECT_EQ(parsed->find("cache")->as_string(), "miss");
-  EXPECT_EQ(parsed->find("total_us")->as_number(), 104.5);
-}
-
-TEST(Trace, SamplingIsDeterministicInSeq) {
-  TraceOptions options;
-  options.path = "-";  // stderr sink: sampled() needs an open sink
-  options.sample_every = 4;
-  Tracer tracer(options);
-  EXPECT_TRUE(tracer.sampled(0));
-  EXPECT_FALSE(tracer.sampled(1));
-  EXPECT_FALSE(tracer.sampled(3));
-  EXPECT_TRUE(tracer.sampled(4));
-}
-
-TEST(Trace, NoSinkMeansNoSampling) {
-  Tracer tracer(TraceOptions{});
-  EXPECT_FALSE(tracer.sampled(0));
-  EXPECT_FALSE(tracer.failed());
-}
-
-TEST(Trace, SlowThreshold) {
-  TraceOptions options;
-  options.slow_ms = 10.0;
-  Tracer tracer(options);
-  EXPECT_FALSE(tracer.slow(9999.0));
-  EXPECT_TRUE(tracer.slow(10000.0));
-  options.slow_ms = 0.0;  // disabled
-  Tracer off(options);
-  EXPECT_FALSE(off.slow(1e12));
-}
-
-TEST(Trace, FileSinkWritesSampledJsonl) {
-  const std::string path = ::testing::TempDir() + "msrs_trace_test.jsonl";
-  {
-    TraceOptions options;
-    options.path = path;
-    options.sample_every = 2;
-    options.slow_ms = 0.0;
-    Tracer tracer(options);
-    ASSERT_FALSE(tracer.failed());
-    for (std::uint64_t seq = 0; seq < 6; ++seq) {
-      Span span;
-      span.seq = seq;
-      span.total_us = 1.0;
-      tracer.observe(span);
-    }
-    tracer.flush();
-  }
-  std::ifstream file(path);
-  ASSERT_TRUE(file.is_open());
-  std::string line;
-  std::vector<std::uint64_t> seqs;
-  while (std::getline(file, line)) {
-    const std::optional<Json> parsed = json_parse(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    seqs.push_back(
-        static_cast<std::uint64_t>(parsed->find("seq")->as_number()));
-  }
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 2, 4}));
-  std::remove(path.c_str());
 }
 
 }  // namespace

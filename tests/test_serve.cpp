@@ -1,7 +1,7 @@
 // Serving layer: wire protocol, ordered delivery, sharded service
 // semantics (determinism across shard counts, named errors, admission
 // rejection, graceful shutdown), the stdio transport loop, and the
-// telemetry surface (stats breakdowns, trace spans).
+// telemetry surface (stats breakdowns, recorder provenance, the slow log).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +9,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -148,6 +148,15 @@ TEST(Service, AnswersControlOps) {
   EXPECT_NE(version.find("\"instance_format\":1"), std::string::npos);
   const std::string stats = service.handle(R"({"op":"stats"})");
   EXPECT_NE(stats.find("\"shards\":2"), std::string::npos);
+}
+
+// The flight recorder keeps the shard in one byte with 0xff meaning none,
+// so the effective shard count stops at kMaxShards.
+TEST(Service, ShardCountIsCappedAtKMaxShards) {
+  ServiceOptions options = small_service(kMaxShards + 1);
+  options.queue_depth = 1;
+  Service service(options);
+  EXPECT_EQ(service.shards(), kMaxShards);
 }
 
 TEST(Service, SolvesAndCachesRepeats) {
@@ -700,50 +709,107 @@ TEST(Telemetry, EveryErrorResponseIncrementsItsNamedCounter) {
   EXPECT_EQ(stats->find("errors")->as_number(), sum);
 }
 
-TEST(Telemetry, TraceSinkEmitsValidSpansWithProvenance) {
-  const std::string path = ::testing::TempDir() + "msrs_serve_trace.jsonl";
-  {
-    ServiceOptions options = small_service(1);
-    options.trace.path = path;
-    options.trace.sample_every = 1;  // every request
-    options.trace.slow_ms = 0.0;     // quiet slow log under sanitizers
-    Service service(options);
-    const std::string solve_line =
-        R"({"op":"solve","spec":"uniform:n=20,m=4,seed=5"})";
-    (void)service.handle(solve_line);  // miss
-    (void)service.handle(solve_line);  // hit
-    (void)service.handle(R"({"op":"solve","spec":"no_such_family:n=5"})");
-    service.shutdown(std::chrono::seconds(30));
-  }
-  std::ifstream file(path);
-  ASSERT_TRUE(file.is_open());
-  std::string line;
-  int spans = 0;
-  bool saw_miss = false, saw_hit = false, saw_error = false;
-  while (std::getline(file, line)) {
-    const std::optional<Json> span = json_parse(line);
-    ASSERT_TRUE(span.has_value()) << line;
-    ++spans;
-    const Json* cache = span->find("cache");
-    const Json* error = span->find("error");
-    const Json* total = span->find("total_us");
-    ASSERT_NE(total, nullptr);
-    EXPECT_GE(total->as_number(), 0.0);
-    if (cache != nullptr && cache->as_string() == "miss") {
-      saw_miss = true;
-      // A miss span carries the winning solver's name.
-      ASSERT_NE(span->find("solver"), nullptr);
-      EXPECT_FALSE(span->find("solver")->as_string().empty());
+// Every solve ends in one solve_end event with its provenance: the
+// winner's label and the cache state as its value (0 miss, 1 hit, 2
+// bypass). A named error ends in an `error` event labelled with its code.
+// In the full (wall-clock) dump no request's stamps go back in lifecycle
+// order, and only the three served solves feed the stage histograms.
+TEST(Telemetry, RecorderEndsEverySolveWithProvenance) {
+  Service service(small_service(1));
+  const std::string solve =
+      R"({"op":"solve","spec":"uniform:n=20,m=4,seed=5")";
+  const std::vector<std::string> answers = {
+      service.handle(solve + "}"),                   // seq 0: miss
+      service.handle(solve + "}"),                   // seq 1: hit
+      service.handle(solve + R"(,"budget_ms":5})"),  // seq 2: bypass
+  };
+  EXPECT_NE(service.handle(R"({"op":"solve","spec":"no_such_family:n=5"})")
+                .find("\"error\":\"bad_spec\""),
+            std::string::npos);  // seq 3
+  const std::optional<Json> dump = json_parse(
+      service.handle(R"({"op":"dump_recorder","canonical":false})"));
+  ASSERT_TRUE(dump.has_value());
+
+  const auto kind_of = [](const std::string& name) {
+    std::size_t kind = 0;
+    while (kind < obs::kEventKindCount &&
+           obs::event_kind_name(static_cast<obs::EventKind>(kind)) != name)
+      ++kind;
+    return kind;
+  };
+  std::map<std::uint64_t, std::vector<std::pair<std::size_t, double>>> stamps;
+  int solve_ends = 0, errors = 0;
+  for (const Json& entry : dump->find("entries")->items()) {
+    const auto seq =
+        static_cast<std::uint64_t>(entry.find("seq")->as_number());
+    const std::string& event = entry.find("event")->as_string();
+    const std::string& label = entry.find("label")->as_string();
+    if (event == "solve_end") {
+      ++solve_ends;
+      ASSERT_LT(seq, answers.size());
+      const std::optional<Json> body = json_parse(answers[seq]);
+      ASSERT_TRUE(body.has_value());
+      EXPECT_EQ(label, body->find("solver")->as_string());
+      EXPECT_EQ(entry.find("value")->as_number(), static_cast<double>(seq));
     }
-    if (cache != nullptr && cache->as_string() == "hit") saw_hit = true;
-    if (error != nullptr && error->as_string() == "bad_spec")
-      saw_error = true;
+    if (event == "error") {
+      ++errors;
+      EXPECT_EQ(seq, 3u);
+      EXPECT_EQ(label, "bad_spec");
+    }
+    stamps[seq].emplace_back(kind_of(event),
+                             entry.find("ts_ns")->as_number());
   }
-  EXPECT_EQ(spans, 3);
-  EXPECT_TRUE(saw_miss);
-  EXPECT_TRUE(saw_hit);
-  EXPECT_TRUE(saw_error);
-  std::remove(path.c_str());
+  EXPECT_EQ(solve_ends, 3);
+  EXPECT_EQ(errors, 1);
+  for (auto& [seq, events] : stamps) {
+    std::sort(events.begin(), events.end());
+    for (std::size_t i = 1; i < events.size(); ++i)
+      EXPECT_LE(events[i - 1].second, events[i].second) << "seq " << seq;
+  }
+  const obs::MetricsSnapshot snapshot = service.metrics_snapshot();
+  const obs::Histogram::Snapshot* total =
+      snapshot.histogram("serve.latency.total_us");
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(total->count, 3u);
+}
+
+// The slow-request log covers every request that ends through the service:
+// with a threshold of one nanosecond a solve, the session ops and a
+// malformed line each log exactly one line; a threshold of 0 logs nothing.
+TEST(Telemetry, SlowLogCoversSolvesSessionOpsAndErrors) {
+  const std::vector<std::string> stream = {
+      R"({"op":"solve","spec":"uniform:n=16,m=2,seed=1"})",
+      R"({"op":"open_session","session":"s","machines":2})",
+      R"({"op":"snapshot","session":"s"})",
+      "}{ not json",
+  };
+  for (const double slow_ms : {1e-6, 0.0}) {
+    ServiceOptions options = small_service(1);
+    options.slow_ms = slow_ms;
+    Service service(options);
+    ::testing::internal::CaptureStderr();
+    for (const std::string& line : stream) (void)service.handle(line);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    if (slow_ms == 0.0) {
+      EXPECT_EQ(log, "");
+      continue;
+    }
+    std::istringstream lines(log);
+    std::vector<std::string> logged;
+    for (std::string line; std::getline(lines, line);) logged.push_back(line);
+    ASSERT_EQ(logged.size(), stream.size()) << log;
+    for (std::size_t seq = 0; seq < stream.size(); ++seq)
+      EXPECT_NE(logged[seq].find("msrs-serve: slow request seq=" +
+                                 std::to_string(seq) + " "),
+                std::string::npos)
+          << log;
+    EXPECT_NE(logged[0].find(" shard=0 solver="), std::string::npos);
+    EXPECT_NE(logged[0].find(" cache=miss"), std::string::npos);
+    EXPECT_NE(logged[2].find(" shard=0 solver=- cache=-"), std::string::npos);
+    EXPECT_NE(logged[3].find(" shard=-1 solver=- cache=-"),
+              std::string::npos);
+  }
 }
 
 TEST(Telemetry, PrometheusPageExposesServiceSeries) {

@@ -45,7 +45,6 @@ import sys
 CLOCK_ALLOWLIST = (
     "util/sync.hpp",
     "obs/trace.hpp",
-    "obs/trace.cpp",
     "obs/timeseries.hpp",
     "obs/timeseries.cpp",
     "obs/flight_recorder.hpp",

@@ -24,12 +24,14 @@
 // Legacy flag-only invocations (no subcommand) behave exactly like `solve`.
 #include <fcntl.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -86,8 +88,6 @@ struct Options {
   std::string churn_out;     // drive: conn-0 response capture file
   bool json_report = false;  // drive: machine-readable report
   // serve telemetry
-  std::string trace;              // serve: JSONL span sink ("-" = stderr)
-  std::size_t trace_sample = 64;  // serve: emit every Nth span
   double slow_ms = 1000.0;        // serve: slow-request log threshold
   std::string metrics_dump;       // serve: Prometheus page at exit
                                   // ("" = off, "-" = stderr)
@@ -111,6 +111,26 @@ std::optional<std::string> arg_value(const char* arg, const char* name) {
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0)
     return std::string(arg + prefix.size());
   return std::nullopt;
+}
+
+// Reads the value of the unsigned flag `--name` into `out`: decimal digits
+// only (a sign is refused: std::stoul reads "-1" as ULONG_MAX), at most
+// `max`. A bad value is named on stderr and fails the parse (exit 2).
+template <typename T>
+bool read_unsigned(const char* name, const std::string& value, T* out,
+                   std::uint64_t max = std::numeric_limits<T>::max()) {
+  std::uint64_t parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || parsed > max) {
+    std::fprintf(stderr,
+                 "msrs_engine_cli: --%s needs an unsigned integer of at "
+                 "most %llu, got '%s'\n",
+                 name, static_cast<unsigned long long>(max), value.c_str());
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
 }
 
 std::vector<std::string> split_csv(const std::string& value) {
@@ -162,14 +182,13 @@ void print_usage(std::FILE* to) {
                "        [--serve-cache=K] [--budget=MS] [--reject]"
                " [--solvers=a,b] [--max-conns=C]\n"
                "        [--idle-timeout=MS] [--port-file=FILE]"
-               " [--trace=FILE] [--trace-sample=N]\n"
-               "        [--slow-ms=MS] [--metrics-dump[=FILE]]"
-               " [--http=HOST:PORT]\n"
-               "        [--http-port-file=FILE] [--recorder-events=N]"
-               " [--recorder-dump=FILE]\n"
-               "        [--watchdog-p99-ms=MS] [--watchdog-error-rate=R]"
-               " [--watchdog-queue=N]\n"
-               "        [--watchdog-interval=S] [--watchdog-dump=FILE]\n"
+               " [--slow-ms=MS] [--metrics-dump[=FILE]]\n"
+               "        [--http=HOST:PORT] [--http-port-file=FILE]"
+               " [--recorder-events=N]\n"
+               "        [--recorder-dump=FILE]"
+               " [--watchdog-p99-ms=MS] [--watchdog-error-rate=R]\n"
+               "        [--watchdog-queue=N] [--watchdog-interval=S]"
+               " [--watchdog-dump=FILE]\n"
                "      Long-running scheduling service: JSONL requests on"
                " stdin (default), or\n"
                "      on one epoll event loop listening on a UNIX socket or"
@@ -184,12 +203,11 @@ void print_usage(std::FILE* to) {
                " blocking; SIGINT/SIGTERM\n"
                "      and the wire 'shutdown' op drain gracefully (see"
                " docs/architecture.md).\n"
-               "      --trace samples every Nth request as a JSONL"
-               " lifecycle span; requests\n"
-               "      slower than --slow-ms always log to stderr."
-               " --metrics-dump prints a\n"
-               "      Prometheus-style metrics page at exit (see"
-               " docs/observability.md).\n"
+               "      --shards is at most 255. Requests slower than"
+               " --slow-ms log one line\n"
+               "      to stderr (0 disables). --metrics-dump prints a"
+               " Prometheus-style\n"
+               "      metrics page at exit (see docs/observability.md).\n"
                "      --http serves GET /metrics, /healthz, /recorder and"
                " /watchdog on a\n"
                "      second listener (any transport; port 0 +"
@@ -293,8 +311,9 @@ int list_solvers() {
 // Parses flags into `options`; positional (non --) arguments land in
 // options.specs. Returns false on an unknown flag or a bad numeric value.
 bool parse_flags(int argc, char** argv, int begin, Options* options) {
+  bool ok = true;  // false once read_unsigned() refuses a value
   try {
-    for (int i = begin; i < argc; ++i) {
+    for (int i = begin; i < argc && ok; ++i) {
       if (argv[i][0] != '-' || std::strcmp(argv[i], "-") == 0) {
         options->specs.push_back(argv[i]);
         continue;
@@ -312,30 +331,31 @@ bool parse_flags(int argc, char** argv, int begin, Options* options) {
       else if (auto v7 = arg_value(argv[i], "budget"))
         options->budget_ms = std::stoi(*v7);
       else if (auto v8 = arg_value(argv[i], "threads"))
-        options->threads = static_cast<unsigned>(std::stoul(*v8));
+        ok = read_unsigned("threads", *v8, &options->threads);
       else if (auto v9 = arg_value(argv[i], "solvers"))
         options->solvers = split_csv(*v9);
       else if (auto v10 = arg_value(argv[i], "count"))
         options->count = std::stoi(*v10);
       else if (auto v11 = arg_value(argv[i], "out")) options->out = *v11;
       else if (auto v12 = arg_value(argv[i], "cache-capacity"))
-        options->cache_capacity = std::stoul(*v12);
+        ok = read_unsigned("cache-capacity", *v12, &options->cache_capacity);
       else if (auto v13 = arg_value(argv[i], "socket"))
         options->socket = *v13;
       else if (auto v14 = arg_value(argv[i], "shards"))
-        options->shards = static_cast<unsigned>(std::stoul(*v14));
+        ok = read_unsigned("shards", *v14, &options->shards,
+                           serve::kMaxShards);
       else if (auto v15 = arg_value(argv[i], "queue-depth"))
-        options->queue_depth = std::stoul(*v15);
+        ok = read_unsigned("queue-depth", *v15, &options->queue_depth);
       else if (auto v16 = arg_value(argv[i], "serve-cache"))
-        options->serve_cache = std::stoul(*v16);
+        ok = read_unsigned("serve-cache", *v16, &options->serve_cache);
       else if (auto v17 = arg_value(argv[i], "requests"))
-        options->requests = std::stoul(*v17);
+        ok = read_unsigned("requests", *v17, &options->requests);
       else if (auto v18 = arg_value(argv[i], "duration"))
         options->duration = std::stod(*v18);
       else if (auto v19 = arg_value(argv[i], "qps"))
         options->qps = std::stod(*v19);
       else if (auto v20 = arg_value(argv[i], "conns"))
-        options->conns = static_cast<unsigned>(std::stoul(*v20));
+        ok = read_unsigned("conns", *v20, &options->conns);
       else if (auto v21 = arg_value(argv[i], "emit")) options->emit = *v21;
       else if (auto c1 = arg_value(argv[i], "churn")) options->churn = *c1;
       else if (auto c2 = arg_value(argv[i], "churn-out"))
@@ -345,10 +365,6 @@ bool parse_flags(int argc, char** argv, int begin, Options* options) {
         else if (*v22 == "instance") options->payload_spec = false;
         else return false;
       }
-      else if (auto v23 = arg_value(argv[i], "trace"))
-        options->trace = *v23;
-      else if (auto v24 = arg_value(argv[i], "trace-sample"))
-        options->trace_sample = std::stoul(*v24);
       else if (auto v25 = arg_value(argv[i], "slow-ms"))
         options->slow_ms = std::stod(*v25);
       else if (auto v26 = arg_value(argv[i], "metrics-dump"))
@@ -356,19 +372,20 @@ bool parse_flags(int argc, char** argv, int begin, Options* options) {
       else if (std::strcmp(argv[i], "--metrics-dump") == 0)
         options->metrics_dump = "-";
       else if (auto v27 = arg_value(argv[i], "max-conns"))
-        options->max_conns = std::stoul(*v27);
+        ok = read_unsigned("max-conns", *v27, &options->max_conns);
       else if (auto v28 = arg_value(argv[i], "stats-interval"))
         options->stats_interval = std::stod(*v28);
       else if (auto v29 = arg_value(argv[i], "tcp")) options->tcp = *v29;
       else if (auto v30 = arg_value(argv[i], "idle-timeout"))
-        options->idle_timeout_ms = std::stoul(*v30);
+        ok = read_unsigned("idle-timeout", *v30, &options->idle_timeout_ms);
       else if (auto v31 = arg_value(argv[i], "port-file"))
         options->port_file = *v31;
       else if (auto v32 = arg_value(argv[i], "http")) options->http = *v32;
       else if (auto v33 = arg_value(argv[i], "http-port-file"))
         options->http_port_file = *v33;
       else if (auto v34 = arg_value(argv[i], "recorder-events"))
-        options->recorder_events = std::stoul(*v34);
+        ok = read_unsigned("recorder-events", *v34,
+                           &options->recorder_events);
       else if (auto v35 = arg_value(argv[i], "recorder-dump"))
         options->recorder_dump = *v35;
       else if (auto v36 = arg_value(argv[i], "watchdog-p99-ms"))
@@ -376,7 +393,7 @@ bool parse_flags(int argc, char** argv, int begin, Options* options) {
       else if (auto v37 = arg_value(argv[i], "watchdog-error-rate"))
         options->watchdog_error_rate = std::stod(*v37);
       else if (auto v38 = arg_value(argv[i], "watchdog-queue"))
-        options->watchdog_queue = std::stoul(*v38);
+        ok = read_unsigned("watchdog-queue", *v38, &options->watchdog_queue);
       else if (auto v39 = arg_value(argv[i], "watchdog-interval"))
         options->watchdog_interval = std::stod(*v39);
       else if (auto v40 = arg_value(argv[i], "watchdog-dump"))
@@ -401,7 +418,7 @@ bool parse_flags(int argc, char** argv, int begin, Options* options) {
   } catch (const std::exception&) {  // non-numeric value for a numeric flag
     return false;
   }
-  return true;
+  return ok;
 }
 
 engine::BatchOptions batch_options(const Options& options) {
@@ -687,9 +704,7 @@ int run_serve(const Options& options) {
   service_options.reject_when_full = options.reject;
   service_options.budget_ms = options.budget_ms;
   service_options.solvers = options.solvers;
-  service_options.trace.path = options.trace;
-  service_options.trace.sample_every = options.trace_sample;
-  service_options.trace.slow_ms = options.slow_ms;
+  service_options.slow_ms = options.slow_ms;
   service_options.recorder_events = options.recorder_events;
   service_options.watchdog.p99_threshold_us = options.watchdog_p99_ms * 1000.0;
   service_options.watchdog.error_rate_threshold = options.watchdog_error_rate;
