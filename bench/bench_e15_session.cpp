@@ -1,4 +1,4 @@
-// E15 — online sessions: incremental repair vs full re-solve over
+// E15 — online sessions: memo repair vs full re-solve over
 // deterministic churn traces (Poisson and bursty on/off).
 //
 // Thin wrapper over the shared perf harness (src/perf): runs the

@@ -4,7 +4,7 @@
 #include <limits>
 #include <vector>
 
-#include "algo/three_halves.hpp"
+#include "algo/t_bound.hpp"
 #include "core/lower_bounds.hpp"
 
 namespace msrs {
@@ -193,11 +193,10 @@ ExactResult exact_makespan(const Instance& instance,
   // Upper bound: OPT is integral and <= (3/2)T by Theorem 7, so searching
   // makespans <= floor(3T/2) is complete. The incumbent schedule comes from
   // the search itself.
-  const AlgoResult approx = three_halves(instance);
-  const Time ub = floor_div(3 * approx.lower_bound, 2) > 0
-                      ? floor_div(3 * approx.lower_bound, 2)
-                      : instance.total_load();
-  Search search(instance, options, std::max(ub, lower_bounds(instance).combined));
+  const Time T = three_halves_bound(instance);
+  const Time bound =
+      std::max(floor_div(3 * T, 2), lower_bounds(instance).combined);
+  Search search(instance, options, bound);
   search.run();
 
   result.nodes = search.nodes();
@@ -206,10 +205,9 @@ ExactResult exact_makespan(const Instance& instance,
     result.makespan = search.best_makespan();
     result.schedule = search.best_schedule();
   } else {
-    // Node limit hit before any schedule was found: fall back to the 3/2
-    // schedule's value rounded up (not claimed optimal).
-    result.makespan = ceil_div(approx.schedule.makespan_scaled(instance),
-                               approx.schedule.scale());
+    // Node limit hit before any schedule was found: fall back to the search
+    // bound, which Theorem 7 puts above OPT (not claimed optimal).
+    result.makespan = bound;
     result.schedule = Schedule(instance.num_jobs(), 1);
     result.optimal = false;
   }

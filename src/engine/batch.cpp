@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -19,20 +20,19 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-PortfolioResult remap_result(const CanonicalForm& src_form,
-                             const PortfolioResult& src_result,
-                             const CanonicalForm& dst_form) {
-  PortfolioResult out = src_result;
-  out.from_cache = true;
-  const Schedule& src = src_result.schedule;
-  Schedule dst(static_cast<int>(dst_form.order.size()), src.scale());
-  for (std::size_t i = 0; i < dst_form.order.size(); ++i) {
-    const JobId from = src_form.order[i];
-    if (src.assigned(from))
-      dst.assign(dst_form.order[i], src.machine(from), src.start(from));
+PortfolioResult remap_result(const CanonicalForm& form,
+                             PortfolioResult result) {
+  if (!result.valid) return result;
+  const Schedule& canonical = result.schedule;
+  Schedule schedule(static_cast<int>(form.order.size()), canonical.scale());
+  for (std::size_t i = 0; i < form.order.size(); ++i) {
+    const auto position = static_cast<JobId>(i);
+    if (canonical.assigned(position))
+      schedule.assign(form.order[i], canonical.machine(position),
+                      canonical.start(position));
   }
-  out.schedule = std::move(dst);
-  return out;
+  result.schedule = std::move(schedule);
+  return result;
 }
 
 namespace {
@@ -94,23 +94,6 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
-std::vector<std::int32_t> rank_shape(int machines, std::span<const Time> sizes,
-                                     std::span<const std::int32_t> lengths,
-                                     CanonicalShape* shape) {
-  std::vector<Run> runs;
-  runs.reserve(lengths.size());
-  const Time* first = sizes.data();
-  for (std::size_t c = 0; c < lengths.size(); ++c) {
-    runs.push_back(make_run(first, lengths[c], static_cast<std::int32_t>(c)));
-    first += lengths[c];
-  }
-  rank_runs(machines, sizes.size(), runs, shape);
-  std::vector<std::int32_t> rank;
-  rank.reserve(runs.size());
-  for (const Run& run : runs) rank.push_back(run.entry);
-  return rank;
-}
-
 void canonical_shape(const FlatInstance& flat, CanonicalShape* shape) {
   // Per-thread scratch: a shard ranks one shape after another, so after
   // the first few requests this allocates nothing.
@@ -144,39 +127,35 @@ std::uint64_t placement_hash(const FlatInstance& flat) {
 
 CanonicalForm canonical_form(const Instance& instance) {
   // Each class's jobs by (size desc, id asc), class after class: the
-  // within-class canonical order. Class c spans by_size[begin[c],
-  // begin[c + 1]).
+  // within-class canonical order, with the sizes alongside.
   const auto n = static_cast<std::size_t>(instance.num_jobs());
-  const auto num_classes = static_cast<std::size_t>(instance.num_classes());
-  std::vector<JobId> by_size;
-  by_size.reserve(n);
-  std::vector<std::int32_t> lengths;
-  lengths.reserve(num_classes);
-  std::vector<std::ptrdiff_t> begin;
-  begin.reserve(num_classes + 1);
+  std::vector<JobId> ordered;
+  ordered.reserve(n);
+  std::vector<Time> sizes;
+  sizes.reserve(n);
+  std::vector<Run> runs;
+  runs.reserve(static_cast<std::size_t>(instance.num_classes()));
   for (ClassId c = 0; c < instance.num_classes(); ++c) {
     const auto& jobs = instance.class_jobs(c);
-    begin.push_back(static_cast<std::ptrdiff_t>(by_size.size()));
-    const auto first = by_size.insert(by_size.end(), jobs.begin(), jobs.end());
-    std::sort(first, by_size.end(), [&](JobId a, JobId b) {
+    const auto first = ordered.insert(ordered.end(), jobs.begin(), jobs.end());
+    std::sort(first, ordered.end(), [&](JobId a, JobId b) {
       if (instance.size(a) != instance.size(b))
         return instance.size(a) > instance.size(b);
       return a < b;
     });
-    lengths.push_back(static_cast<std::int32_t>(jobs.size()));
+    const std::size_t begin = sizes.size();
+    for (auto j = first; j != ordered.end(); ++j)
+      sizes.push_back(instance.size(*j));
+    runs.push_back(make_run(sizes.data() + begin,
+                            static_cast<std::int32_t>(jobs.size()), c));
   }
-  begin.push_back(static_cast<std::ptrdiff_t>(by_size.size()));
-  std::vector<Time> sizes;
-  sizes.reserve(n);
-  for (const JobId j : by_size) sizes.push_back(instance.size(j));
 
   CanonicalForm form;
+  rank_runs(instance.machines(), n, runs, &form);
   form.order.reserve(n);
-  for (const std::int32_t c :
-       rank_shape(instance.machines(), sizes, lengths, &form)) {
-    const auto at = static_cast<std::size_t>(c);
-    form.order.insert(form.order.end(), by_size.begin() + begin[at],
-                      by_size.begin() + begin[at + 1]);
+  for (const Run& run : runs) {
+    const auto begin = ordered.begin() + (run.first - sizes.data());
+    form.order.insert(form.order.end(), begin, begin + run.length);
   }
   return form;
 }
@@ -204,70 +183,62 @@ std::vector<PortfolioResult> BatchEngine::solve(
   std::vector<PortfolioResult> results(count);
   if (count == 0) return results;
   stats_.instances += count;
-  const std::size_t hits_before = stats_.cache_hits;
 
   std::vector<CanonicalForm> forms(count);
   parallel_for(
       0, count, [&](std::size_t i) { forms[i] = canonical_form(batch[i]); },
       options_.threads);
 
-  // Classify in input order: serve prior-batch cache entries immediately,
-  // pick the first occurrence of each new shape as its representative.
-  constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> source(count);  // rep index, or kFromCache
-  std::vector<std::size_t> reps;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> first_of;
+  // Classify in input order: each distinct shape (with the cache off, each
+  // instance) gets one slot, holding its canonical result from the
+  // cross-batch cache or from a race by the shape's first instance.
+  std::unordered_map<CanonicalShape, std::size_t, CanonicalShapeHash,
+                     CanonicalShapeEq>
+      slot_of;
+  std::vector<std::size_t> slot(count);
+  std::vector<PortfolioResult> canonical;
+  std::vector<std::size_t> race;  // instances racing their slot's shape
   for (std::size_t i = 0; i < count; ++i) {
-    if (!options_.cache) {
-      source[i] = i;
-      reps.push_back(i);
-      continue;
+    slot[i] = canonical.size();
+    if (options_.cache) {
+      const auto [at, fresh] = slot_of.try_emplace(forms[i], slot[i]);
+      slot[i] = at->second;
+      if (!fresh) continue;
     }
-    if (const ResultCache::Entry* entry = cache_.find(forms[i])) {
-      source[i] = kFromCache;
-      results[i] = remap_result(entry->first, entry->second, forms[i]);
-      ++stats_.cache_hits;
-      continue;
-    }
-    std::size_t rep = i;
-    for (std::size_t j : first_of[forms[i].key])
-      if (forms[j].same_shape(forms[i])) {
-        rep = j;
-        break;
-      }
-    source[i] = rep;
-    if (rep == i) {
-      first_of[forms[i].key].push_back(i);
-      reps.push_back(i);
-    } else {
-      ++stats_.cache_hits;
-    }
+    const ResultCache::Entry* entry =
+        options_.cache ? cache_.find(forms[i]) : nullptr;
+    canonical.push_back(entry != nullptr ? entry->second : PortfolioResult{});
+    if (entry == nullptr) race.push_back(i);
   }
 
   parallel_for(
-      0, reps.size(),
+      0, race.size(),
       [&](std::size_t r) {
-        const std::size_t i = reps[r];
-        results[i] = portfolio_.solve(batch[i]);
+        canonical[slot[race[r]]] = portfolio_.solve(forms[race[r]]);
       },
       options_.threads);
-  stats_.solved += reps.size();
+  stats_.solved += race.size();
+  stats_.cache_hits += count - race.size();
 
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t rep = source[i];
-    if (rep == kFromCache || rep == i) continue;
-    results[i] = remap_result(forms[rep], results[rep], forms[i]);
-  }
+  parallel_for(
+      0, count,
+      [&](std::size_t i) {
+        results[i] = remap_result(forms[i], canonical[slot[i]]);
+        results[i].from_cache = true;
+      },
+      options_.threads);
+  for (const std::size_t i : race) results[i].from_cache = false;
 
   if (options_.cache) {
-    for (std::size_t i : reps) cache_.insert(forms[i], results[i]);
+    for (const std::size_t i : race)
+      cache_.insert(std::move(forms[i]), std::move(canonical[slot[i]]));
     stats_.entries = cache_.size();
   }
   if (obs::MetricsRegistry* metrics = options_.portfolio.metrics;
       metrics != nullptr) {
     metrics->counter("batch.instances").add(count);
-    metrics->counter("batch.solved").add(reps.size());
-    metrics->counter("batch.cache_hits").add(stats_.cache_hits - hits_before);
+    metrics->counter("batch.solved").add(race.size());
+    metrics->counter("batch.cache_hits").add(count - race.size());
     metrics->gauge("batch.cache_entries")
         .set(static_cast<std::int64_t>(stats_.entries));
   }

@@ -1,19 +1,19 @@
 /// \file
 /// BatchEngine: the throughput layer — shards an instance stream across the
-/// thread pool and serves repeated instances from a canonical-form cache.
+/// thread pool and serves repeated shapes from a canonical-shape cache.
 ///
-/// Canonical form: (m, classes as sorted size vectors, classes sorted),
-/// stored flat (CanonicalShape). Two instances with the same canonical form
-/// are identical up to renaming jobs and classes, so a solved schedule
-/// transfers by the canonical bijection (same canonical position -> same
-/// size and class structure). Cached results are remapped through that
-/// bijection, never re-solved.
+/// Canonical shape: the instance listed flat with each class's sizes
+/// descending and the classes ranked heavier first (CanonicalShape). Two
+/// instances with the same shape are identical up to renaming jobs and
+/// classes. PortfolioSolver races only the canonical instance a shape
+/// builds, so every result here is in canonical labels until remap_result
+/// maps it to one instance's jobs through that instance's CanonicalForm.
 ///
-/// Determinism: a batch is deduplicated by canonical key up front; one
-/// representative per key (the first occurrence, or a prior cache entry) is
-/// solved, all duplicates are remapped from it. Representatives are chosen
-/// and results assembled in input order, so the output is identical for any
-/// thread count — only wall-clock time changes.
+/// Determinism: each distinct shape of a batch gets one slot, in input
+/// order of first occurrence, holding its canonical result from the
+/// cross-batch cache or from one race. Every instance remaps its slot's
+/// result, so the output is identical for any thread count — only
+/// wall-clock time changes.
 ///
 /// The cross-batch cache is a bounded LRU (util/lru.hpp, default 65536
 /// shapes, `BatchOptions::cache_capacity`); long sweeps and long-lived
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -35,15 +34,14 @@
 
 namespace msrs::engine {
 
-/// The canonical shape of an instance: its machine count and its job
-/// sizes up to renaming jobs and classes, stored flat. Each class's sizes
-/// run descending; classes are ranked heavier size vector first
-/// (lexicographically larger), ties in entry order.
-struct CanonicalShape {
-  int machines = 0;                   ///< machine count (part of the shape)
-  std::vector<Time> sizes;            ///< sizes, class after class, ranked
-  std::vector<std::int32_t> classes;  ///< job count of each ranked class
-  std::uint64_t key = 0;              ///< hash of (machines, ranked classes)
+/// The canonical shape of an instance: the instance listed flat in
+/// canonical order, plus its key. Each class's sizes run descending;
+/// classes are ranked heavier size vector first (lexicographically
+/// larger), ties in entry order. Every relabelling of an instance has the
+/// same shape, and `build()` is the canonical instance the portfolio
+/// races: canonical position i is its JobId i.
+struct CanonicalShape : FlatInstance {
+  std::uint64_t key = 0;  ///< hash of (machines, ranked classes)
 
   /// True when the shapes (machines + ranked classes) coincide.
   bool same_shape(const CanonicalShape& other) const {
@@ -55,17 +53,8 @@ struct CanonicalShape {
 /// Canonical form of an instance: its shape plus the job bijection
 /// realizing it.
 struct CanonicalForm : CanonicalShape {
-  std::vector<JobId> order;  ///< job ids in canonical position order
+  std::vector<JobId> order;  ///< order[i]: the job at canonical position i
 };
-
-/// Ranks and hashes a shape: the one step behind every canonical key.
-/// `sizes` lists the classes one after another in any order, class c
-/// holding `lengths[c]` sizes sorted descending. Fills `*shape` with the
-/// ranked classes and their key, and returns the entry position of each
-/// ranked class.
-std::vector<std::int32_t> rank_shape(int machines, std::span<const Time> sizes,
-                                     std::span<const std::int32_t> lengths,
-                                     CanonicalShape* shape);
 
 /// The canonical shape of a flat instance listing (O(n log n), no Instance
 /// built), written into `*shape` reusing its buffers: the serving layer's
@@ -86,13 +75,11 @@ std::uint64_t placement_hash(const FlatInstance& flat);
 /// Computes the canonical form of an instance (O(n log n)).
 CanonicalForm canonical_form(const Instance& instance);
 
-/// Remaps a result solved on `src_form`'s instance onto the instance behind
-/// `dst_form` (which must have the same canonical shape): canonical position
-/// i of one maps to canonical position i of the other, preserving sizes and
-/// class structure. The returned result is flagged `from_cache`.
-PortfolioResult remap_result(const CanonicalForm& src_form,
-                             const PortfolioResult& src_result,
-                             const CanonicalForm& dst_form);
+/// Maps a result in canonical labels (solved on `form`'s canonical
+/// instance) onto the instance behind `form`: canonical position i goes to
+/// job `form.order[i]`. A result without a valid schedule passes through.
+PortfolioResult remap_result(const CanonicalForm& form,
+                             PortfolioResult result);
 
 /// Hashes a canonical-shape cache key: the precomputed shape hash.
 struct CanonicalShapeHash {
@@ -102,9 +89,7 @@ struct CanonicalShapeHash {
   }
 };
 
-/// Canonical-shape cache-key equivalence. A CanonicalForm key compares by
-/// its shape alone: the per-instance job bijection (`order`) is payload
-/// carried by the resident key for remapping, not identity.
+/// Canonical-shape cache-key equivalence.
 struct CanonicalShapeEq {
   /// True when the shapes coincide.
   bool operator()(const CanonicalShape& a, const CanonicalShape& b) const {
@@ -112,11 +97,10 @@ struct CanonicalShapeEq {
   }
 };
 
-/// Bounded LRU from canonical shape to the representative's solved result
-/// (keys are full forms: a hit remaps through the resident `order`).
+/// Bounded LRU from canonical shape to its result in canonical labels.
 /// Shared by BatchEngine and the session memo.
 using ResultCache =
-    LruCache<CanonicalForm, PortfolioResult, CanonicalShapeHash,
+    LruCache<CanonicalShape, PortfolioResult, CanonicalShapeHash,
              CanonicalShapeEq>;
 
 /// Options of a BatchEngine.
@@ -134,7 +118,7 @@ struct BatchOptions {
 struct BatchStats {
   std::size_t instances = 0;   ///< total instances seen
   std::size_t solved = 0;      ///< portfolio runs actually executed
-  std::size_t cache_hits = 0;  ///< results served by remapping a cache entry
+  std::size_t cache_hits = 0;  ///< results served without their own race
   std::size_t entries = 0;     ///< resident cache entries
 };
 

@@ -5,6 +5,7 @@
 
 #include "algo/t_bound.hpp"
 #include "core/validate.hpp"
+#include "engine/batch.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -50,7 +51,6 @@ std::vector<const Solver*> PortfolioSolver::candidates(
 
   for (const auto& solver : registry_->solvers()) {
     if (solver->min_budget_ms() > options_.budget_ms) continue;
-    if (!options_.include_heuristics && solver->guarantee() == 0.0) continue;
     if (!solver->applicable(instance)) continue;
     out.push_back(solver.get());
   }
@@ -58,6 +58,15 @@ std::vector<const Solver*> PortfolioSolver::candidates(
 }
 
 PortfolioResult PortfolioSolver::solve(const Instance& instance) const {
+  const CanonicalForm form = canonical_form(instance);
+  return remap_result(form, solve(form));
+}
+
+PortfolioResult PortfolioSolver::solve(const CanonicalShape& shape) const {
+  return race(shape.build());
+}
+
+PortfolioResult PortfolioSolver::race(const Instance& instance) const {
   PortfolioResult result;
   result.t_bound =
       instance.num_jobs() > 0 ? three_halves_bound(instance) : 0;

@@ -8,7 +8,13 @@
 /// makespan wins. The result carries provenance: the winning solver's name
 /// and the measured ratio against the Lemma-9 bound T (algo/t_bound.hpp).
 ///
-/// Everything here is deterministic in (instance, options): candidate sets
+/// The race runs on canonical instances only. An instance is first put in
+/// canonical form (engine/batch.hpp), its canonical shape is raced, and the
+/// winner is mapped back to the caller's labels. Machines and classes carry
+/// no labels in the model, so every relabelling of an instance gets the
+/// same answer, and callers that hold a shape race it directly.
+///
+/// Everything here is deterministic in (shape, options): candidate sets
 /// come from structural predicates and the integer budget only — never wall
 /// clocks — and the winner is chosen by exact makespan comparison with
 /// registration order as the tie-break, independent of completion order.
@@ -26,6 +32,8 @@ class MetricsRegistry;
 
 namespace msrs::engine {
 
+struct CanonicalShape;  // engine/batch.hpp
+
 /// Options of one portfolio race.
 struct PortfolioOptions {
   /// Deterministic effort gate (NOT a wall-clock deadline): search-tier
@@ -34,9 +42,6 @@ struct PortfolioOptions {
   int budget_ms = 100;
   /// Threads used to race the candidates (<= 1: run them sequentially).
   unsigned threads = 1;
-  /// Also race the unbounded heuristics (list_lpt, merge_lpt, hebrard);
-  /// they frequently win on benign instances despite having no guarantee.
-  bool include_heuristics = true;
   /// When non-empty, restrict the race to these solver names (still
   /// filtered by applicability).
   std::vector<std::string> only;
@@ -64,7 +69,7 @@ struct PortfolioResult {
   double makespan = 0.0;      ///< winner's makespan, instance units
   double ratio_vs_bound = 0;  ///< makespan / t_bound (1.0 when t_bound == 0)
   bool valid = false;         ///< a validated schedule was found
-  bool from_cache = false;    ///< set by BatchEngine when served by remapping
+  bool from_cache = false;    ///< set by BatchEngine: no race of its own
   std::vector<Attempt> attempts;  ///< every raced candidate, in order
 };
 
@@ -80,13 +85,20 @@ class PortfolioSolver {
   /// The regime heuristic, exposed for tests: candidates in priority order.
   std::vector<const Solver*> candidates(const Instance& instance) const;
 
-  /// Runs the race; deterministic in (instance, options).
+  /// Races the instance's canonical shape and maps the winner back to the
+  /// instance's labels; deterministic in (shape, options).
   PortfolioResult solve(const Instance& instance) const;
+
+  /// Races the canonical instance `shape.build()`; the result is in
+  /// canonical labels (remap_result maps it onto one instance).
+  PortfolioResult solve(const CanonicalShape& shape) const;
 
   /// The options this portfolio was built with.
   const PortfolioOptions& options() const { return options_; }
 
  private:
+  PortfolioResult race(const Instance& instance) const;
+
   const SolverRegistry* registry_;
   PortfolioOptions options_;
 };

@@ -1,31 +1,24 @@
 /// \file
-/// SessionEngine: an online, mutable MSRS instance with an incremental
-/// repair path pinned to a full PortfolioSolver re-solve.
+/// SessionEngine: an online, mutable MSRS instance whose snapshot is a
+/// PortfolioSolver race on the materialized instance, memoized by shape.
 ///
 /// A session owns a stream of submit/cancel mutations against one machine
 /// pool. Its observable contract is *portfolio equivalence*: after any
 /// mutation history, `snapshot()` returns exactly the result a fresh,
-/// deterministic PortfolioSolver race (engine/portfolio.hpp) would produce
-/// on the materialized instance. The repair path is every way to reach that
-/// result cheaper than re-solving from scratch:
+/// deterministic PortfolioSolver::solve (engine/portfolio.hpp) would
+/// produce on the materialized instance, schedule included. A snapshot
+/// puts that instance in canonical form (engine/batch.hpp) and looks its
+/// shape up in a bounded per-session memo of canonical results. Churn that
+/// revisits a shape (cancel undoing a submit, oscillating arrival
+/// processes) is answered by remapping the memoized result instead of
+/// racing again; any other shape is raced once and memoized.
 ///
-///  - the canonical form (engine/batch.hpp) is maintained incrementally:
-///    only the census classes touched since the last snapshot — the delta —
-///    have their size vectors re-sorted; clean classes reuse their cached
-///    vectors (the census categories of algo/t_bound.hpp are functions of
-///    exactly these per-class sorted sizes);
-///  - previously solved shapes are memoized per session in a bounded LRU,
-///    so churn that revisits a shape (cancel undoing a submit, oscillating
-///    arrival processes) is answered by remapping the previous schedule
-///    through the canonical bijection instead of re-running the race.
-///
-/// Anything else falls back to the full portfolio re-solve — which doubles
-/// as the oracle: tests/test_session.cpp replays fuzzed churn traces and
-/// asserts after every mutation that the repair path's schedule is valid
-/// and makespan-equal to an independent full re-solve. Determinism: the
-/// snapshot (including its repair/resolve provenance) is a pure function of
-/// the mutation history, so serving-layer snapshot responses stay
-/// byte-identical across shard counts and transports.
+/// tests/test_session.cpp replays fuzzed churn traces and asserts after
+/// every mutation that the snapshot's schedule equals a fresh race's, job
+/// for job. Determinism: the snapshot (including its repair/resolve
+/// provenance) is a pure function of the mutation history, so
+/// serving-layer snapshot responses stay byte-identical across shard
+/// counts and transports.
 #pragma once
 
 #include <cstddef>
@@ -87,9 +80,6 @@ struct SessionSnapshot {
   Instance instance;
   /// Session job id of each compact JobId (`jobs[j]` names instance job j).
   std::vector<std::uint64_t> jobs;
-  /// Canonical form of `instance`, maintained incrementally (tests pin it
-  /// against engine::canonical_form built from scratch).
-  CanonicalForm form;
   /// The portfolio-equivalent result (schedule over compact JobIds).
   PortfolioResult result;
   /// Provenance of `result`.
@@ -128,10 +118,8 @@ class SessionEngine {
   /// Total jobs ever submitted (== the next job id to be assigned).
   std::uint64_t submitted() const { return next_job_; }
 
-  /// The current schedule, repairing or re-solving only when the session
-  /// mutated since the last call (the delta classes are re-censused; clean
-  /// classes reuse their cached canonical vectors). The reference stays
-  /// valid until the next mutation.
+  /// The current schedule, recomputed only when the session mutated since
+  /// the last call. The reference stays valid until the next mutation.
   const SessionSnapshot& snapshot();
 
   /// Lifetime counters.
@@ -148,12 +136,10 @@ class SessionEngine {
   };
   struct ClassRec {
     std::string name;
-    std::vector<std::uint64_t> alive;    // session job ids, submission order
-    std::vector<std::uint64_t> by_size;  // alive by (size desc, id asc)
-    bool dirty = false;  // in the delta: by_size needs a re-census
+    std::vector<std::uint64_t> alive;  // session job ids, submission order
   };
 
-  void refresh();  // rebuild snapshot_ from the mutation delta
+  void refresh();  // rebuild snapshot_ from the job table
 
   int machines_ = 1;
   const SolverRegistry* registry_;

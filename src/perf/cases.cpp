@@ -1027,7 +1027,7 @@ std::vector<BenchRow> e14_obs(const Runner& runner) {
   return rows;
 }
 
-// --- E15: online sessions: incremental repair vs full re-solve -------------
+// --- E15: online sessions: memo repair vs full re-solve --------------------
 
 std::vector<BenchRow> e15_session(const Runner& runner) {
   // One Poisson and one bursty on/off trace, snapshot after every mutation
@@ -1035,8 +1035,8 @@ std::vector<BenchRow> e15_session(const Runner& runner) {
   // (repair=false: every snapshot is a full portfolio re-solve) replay the
   // identical trace; portfolio equivalence makes their final makespans
   // equal by contract, and the counters pin the repair hit profile — any
-  // change to the memo or delta-census logic moves `repairs`/`fallbacks`
-  // and fails the baseline diff before it can regress latency.
+  // change to the memo logic moves `repairs`/`fallbacks` and fails the
+  // baseline diff before it can regress latency.
   constexpr const char* kSpecs[] = {
       "poisson:events=300,classes=6,m=4,max=50,cancel=0.4,snap=1,seed=5",
       "onoff:events=300,classes=5,m=3,max=40,cancel=0.45,snap=1,"
@@ -1182,8 +1182,7 @@ BenchRegistry BenchRegistry::make_default() {
       "observability layer (docs/observability.md)", Tier::kQuick, e14_obs));
   registry.add(make_case(
       "e15_session",
-      "online sessions: incremental repair vs full re-solve over churn "
-      "traces",
+      "online sessions: memo repair vs full re-solve over churn traces",
       "online serving layer (docs/scenarios.md)", Tier::kQuick,
       e15_session));
   return registry;

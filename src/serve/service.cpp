@@ -25,6 +25,12 @@ std::string stage_metric(std::string_view stage) {
 
 Json count_json(std::size_t v) { return Json(static_cast<std::int64_t>(v)); }
 
+// The detail of a `no_schedule` error.
+std::string no_schedule_detail(std::size_t raced) {
+  return "no valid schedule: " + std::to_string(raced) +
+         " applicable solvers raced";
+}
+
 // FNV-1a over the session name: the shard placement of a session. Any
 // stable hash works (placement is invisible in response bytes); it only has
 // to keep one session's ops on one shard.
@@ -538,35 +544,43 @@ void Service::process(Shard& shard, Item& item) {
     recorder_->record(obs::EventKind::kSolveBegin, item.trace.seq,
                       obs::recorder_ts_ns(item.trace.dispatch), shard_id, 0,
                       0);
+  // Every path races the canonical shape, so a miss, a hit and a
+  // `budget_ms` bypass of one shape answer the same bytes. Non-default
+  // effort changes the result, so a bypass neither reads nor fills the
+  // cache.
+  engine::canonical_shape(item.flat, &shard.shape);
+  const bool bypass = item.budget_ms != 0;
+  const TailCache::Entry* entry =
+      bypass ? nullptr : shard.cache.find(shard.shape);
+  // kCacheStates index: miss/hit/bypass
+  const std::uint32_t cache_value = bypass ? 2 : entry != nullptr ? 1 : 0;
   std::string response;
   std::string solver;
-  std::uint32_t cache_value = 0;  // kCacheStates index: miss/hit/bypass
-  if (item.budget_ms != 0) {
-    // Non-default effort changes the result, so it must not share cache
-    // entries with default-budget traffic; solve uncached.
-    engine::PortfolioOptions per_request = shard.portfolio->options();
-    per_request.budget_ms = item.budget_ms;
-    engine::PortfolioResult result =
-        engine::PortfolioSolver(*registry_, per_request)
-            .solve(item.flat.build());
-    solver = result.solver;
-    cache_value = 2;
-    response = solve_response(item.id, result);
-    shard.solved.fetch_add(1);
-  } else if (engine::canonical_shape(item.flat, &shard.shape);
-             const TailCache::Entry* entry = shard.cache.find(shard.shape)) {
+  std::string no_schedule;  // the error detail of a race without a schedule
+  if (entry != nullptr) {
     response = compose_response(item.id, entry->second.tail);
     solver = entry->second.solver;
-    cache_value = 1;
   } else {
-    engine::PortfolioResult result =
-        shard.portfolio->solve(item.flat.build());
-    std::string tail = solve_response_tail(result);
-    response = compose_response(item.id, tail);
-    solver = result.solver;
-    shard.cache.insert(std::move(shard.shape),
-                       CachedResult{std::move(tail), std::move(result.solver)});
+    engine::PortfolioResult result;
+    if (bypass) {
+      engine::PortfolioOptions options = shard.portfolio->options();
+      options.budget_ms = item.budget_ms;
+      result = engine::PortfolioSolver(*registry_, options).solve(shard.shape);
+    } else {
+      result = shard.portfolio->solve(shard.shape);
+    }
     shard.solved.fetch_add(1);
+    if (result.valid) {
+      std::string tail = solve_response_tail(result);
+      response = compose_response(item.id, tail);
+      solver = result.solver;
+      if (!bypass)
+        shard.cache.insert(
+            std::move(shard.shape),
+            CachedResult{std::move(tail), std::move(result.solver)});
+    } else {
+      no_schedule = no_schedule_detail(result.attempts.size());
+    }
   }
   item.trace.solve_end = obs::TraceClock::now();
   // Mirror the (single-threaded) LRU counters into atomics for stats().
@@ -575,6 +589,12 @@ void Service::process(Shard& shard, Item& item) {
   shard.misses.store(cache.misses);
   shard.evictions.store(cache.evictions);
   shard.entries.store(cache.entries);
+  if (!no_schedule.empty()) {
+    respond_error(item.done, item.id, WireError::kNoSchedule, no_schedule,
+                  item.trace);
+    finish_item();
+    return;
+  }
   shard.requests->inc();
   const auto label = solver_label_.find(solver);  // empty: recorder off
   end_request(item.done, std::move(response), item.trace,
@@ -662,6 +682,12 @@ void Service::process_session(Shard& shard, Item& item) {
       session_repairs_c_->add(session.stats().repairs - before.repairs);
       session_fallbacks_c_->add(session.stats().fallbacks -
                                 before.fallbacks);
+      if (!snap.result.valid) {
+        respond_error(item.done, item.id, WireError::kNoSchedule,
+                      no_schedule_detail(snap.result.attempts.size()),
+                      item.trace);
+        return;
+      }
       SnapshotBody body;
       body.session = item.session;
       body.jobs = session.jobs_alive();

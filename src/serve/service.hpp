@@ -14,9 +14,11 @@
 ///   (util/lru.hpp) from canonical shape to rendered response tail, without
 ///   cross-shard locks; the shard computes the canonical shape itself,
 ///   just before its cache lookup. A hit is one string concatenation; only
-///   a miss (or a `budget_ms` bypass, which skips the shape) builds the
-///   Instance and races the portfolio. Shard workers run on a
-///   parallel/thread_pool and answer through the per-request callback.
+///   a miss (or a `budget_ms` bypass, which skips the cache) builds the
+///   shape's canonical Instance and races it. A race without a valid
+///   schedule answers the named `no_schedule` error and is not cached.
+///   Shard workers run on a parallel/thread_pool and answer through the
+///   per-request callback.
 ///
 /// Session ops (open_session/submit_job/cancel_job/snapshot/close_session)
 /// route by the hash of the session *name* instead: every mutation of one
@@ -27,14 +29,14 @@
 /// (ServiceOptions::session_queue_budget) bounds how much of a queue a
 /// churn burst may occupy, so one chatty session cannot starve solve ops.
 ///
-/// Determinism: a response body is a pure function of the request and of
-/// the earlier same-shape requests on its shard (a cache hit answers with
-/// the tail of whichever relabelling of the shape missed first; cache
-/// provenance is kept out of the body). Same-shape requests hit one shard
-/// FIFO in arrival order at any shard count, so the response *bytes* of a
-/// request stream are identical at any shard count, which the serving
-/// smoke test asserts. Only completion order varies; transports restore
-/// input order with an OrderedWriter (serve/transport.hpp).
+/// Determinism: a response body is a pure function of the request. Every
+/// path races the canonical shape, so all relabellings of a shape get the
+/// same body whether they miss, hit or bypass the cache, in any arrival
+/// order (cache provenance is kept out of the body). The response *bytes*
+/// of a request stream are therefore identical at any shard count, which
+/// the serving smoke test asserts. Only completion order varies;
+/// transports restore input order with an OrderedWriter
+/// (serve/transport.hpp).
 ///
 /// Every request that reaches a solve, a session op or a named error ends
 /// through one private path (Service::end_request): its terminal flight-
@@ -212,7 +214,7 @@ class Service {
     Op op = Op::kSolve;
     Json id;
     // A solve carries its instance flat; the shard computes its canonical
-    // shape (the cache key) and builds the Instance only to solve.
+    // shape, which is both the cache key and the instance it races.
     FlatInstance flat;
     int budget_ms = 0;  // 0 = service default (cacheable)
     Done done;
@@ -233,10 +235,9 @@ class Service {
   };
 
   /// Per-shard result cache: canonical shape -> the rendered response
-  /// tail (every solve-response field is isomorphism-invariant, so a
-  /// repeat — even with renamed jobs/classes — is answered by one string
-  /// concatenation, no remapping or re-rendering; BatchEngine keeps the
-  /// full-schedule variant via remap_result for batch consumers).
+  /// tail of its race (every solve-response field is isomorphism-invariant,
+  /// so a repeat — even with renamed jobs/classes — is answered by one
+  /// string concatenation, no remapping or re-rendering).
   using TailCache =
       LruCache<engine::CanonicalShape, CachedResult,
                engine::CanonicalShapeHash, engine::CanonicalShapeEq>;

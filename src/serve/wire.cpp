@@ -72,6 +72,7 @@ std::string_view wire_error_name(WireError code) {
     case WireError::kUnknownSession: return "unknown_session";
     case WireError::kUnknownJob: return "unknown_job";
     case WireError::kSessionLimit: return "session_limit";
+    case WireError::kNoSchedule: return "no_schedule";
   }
   return "unknown_error";
 }
@@ -187,11 +188,6 @@ std::string error_response(const Json& id, WireError code,
   response.set("error", std::string(wire_error_name(code)));
   response.set("detail", std::string(detail));
   return response.str();
-}
-
-std::string solve_response(const Json& id,
-                           const engine::PortfolioResult& result) {
-  return compose_response(id, solve_response_tail(result));
 }
 
 std::string solve_response_tail(const engine::PortfolioResult& result) {

@@ -59,6 +59,7 @@ enum class WireError {
   kUnknownSession,   ///< session op names no open session
   kUnknownJob,       ///< cancel_job names no alive job of the session
   kSessionLimit,     ///< open_session would exceed the open-session cap
+  kNoSchedule,       ///< the race (solve or snapshot) found no valid schedule
 };
 
 /// Every wire error code, in enum order — the telemetry layer pre-registers
@@ -71,7 +72,7 @@ inline constexpr WireError kAllWireErrors[] = {
     WireError::kBadInstance,  WireError::kOverloaded,
     WireError::kVersionMismatch, WireError::kShuttingDown,
     WireError::kUnknownSession,  WireError::kUnknownJob,
-    WireError::kSessionLimit,
+    WireError::kSessionLimit,    WireError::kNoSchedule,
 };
 
 /// The stable wire string of an error code (e.g. "overloaded").
@@ -87,7 +88,7 @@ enum class Op {
   kOpenSession,   ///< create a named mutable session (engine/session.hpp)
   kSubmitJob,     ///< session mutation: add a job to a class
   kCancelJob,     ///< session mutation: cancel a submitted job
-  kSnapshot,      ///< current session schedule (incremental repair path)
+  kSnapshot,      ///< current session schedule (memoized by shape)
   kCloseSession,  ///< drop a session and its state
   kDumpRecorder,  ///< merged flight-recorder dump (obs/flight_recorder.hpp)
 };
@@ -126,21 +127,16 @@ std::optional<Request> parse_request(const std::string& line,
 std::string error_response(const Json& id, WireError code,
                            std::string_view detail);
 
-/// Renders a solve response line: id, ok, solver provenance, makespan,
-/// Lemma-9 bound, ratio, validity. Deterministic bytes for a deterministic
-/// result; `from_cache` is deliberately *not* part of the body (it depends
-/// on arrival order, not the request) — cache behavior is observable via
-/// the `stats` op instead.
-std::string solve_response(const Json& id,
-                           const engine::PortfolioResult& result);
-
 /// The solve response minus its `{"id":<id>` prefix (starts with the comma
-/// before `"ok"`). Every field is isomorphism-invariant, so the tail is
-/// shared by all requests of one canonical shape — the serving layer
-/// caches it rendered and answers repeats with one concatenation.
+/// before `"ok"`): ok, solver provenance, makespan, Lemma-9 bound, ratio,
+/// validity. Every field is isomorphism-invariant, so the tail is shared
+/// by all requests of one canonical shape — the serving layer caches it
+/// rendered and answers repeats with one concatenation. `from_cache` is
+/// deliberately *not* part of the body (it depends on arrival order, not
+/// the request) — cache behavior is observable via the `stats` op instead.
 std::string solve_response_tail(const engine::PortfolioResult& result);
 
-/// Prepends the id prefix onto a cached tail: the full response line.
+/// Prepends the id prefix onto a tail: the full response line.
 std::string compose_response(const Json& id, const std::string& tail);
 
 /// Renders the acknowledgement line of ping/shutdown ops.

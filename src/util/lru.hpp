@@ -28,10 +28,9 @@ struct LruStats {
   std::size_t capacity = 0;    // configured bound (0 = unbounded)
 };
 
-// Bounded LRU map. `Hash`/`Eq` follow the std::unordered_map contract and
-// may implement a coarser equivalence than operator== (the BatchEngine keys
-// compare canonical *shapes*, ignoring the per-instance job bijection the
-// key also carries — see engine/batch.cpp).
+// Bounded LRU map. `Hash`/`Eq` follow the std::unordered_map contract (the
+// engine's keys are canonical shapes, hashed by their precomputed key —
+// see engine/batch.hpp).
 template <typename Key, typename Value, typename Hash = std::hash<Key>,
           typename Eq = std::equal_to<Key>>
 class LruCache {
@@ -43,9 +42,8 @@ class LruCache {
   explicit LruCache(std::size_t capacity = 0) { stats_.capacity = capacity; }
 
   // Looks `key` up; a hit refreshes its recency and returns the resident
-  // entry (key + value — the stored key can carry payload the probe key
-  // lacks, e.g. the representative's job order). nullptr on miss. The
-  // returned pointer is valid until the entry is evicted or overwritten.
+  // entry (key + value). nullptr on miss. The returned pointer is valid
+  // until the entry is evicted or overwritten.
   const Entry* find(const Key& key) {
     auto it = index_.find(key);
     if (it == index_.end()) {

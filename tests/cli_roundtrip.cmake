@@ -66,12 +66,20 @@ if(NOT sweep_a STREQUAL sweep_b)
   message(FATAL_ERROR "sweep report differs across thread counts")
 endif()
 
-# Unsigned flags refuse a sign and out-of-range values by name (exit 2)
-# before anything starts: std::stoul used to read "-1" as ULONG_MAX. The
-# shard count stops at 255, the recorder's one-byte shard field.
+# Integer flags refuse a sign, trailing bytes, a non-number and
+# out-of-range values by name (exit 2) before anything starts: std::stoul
+# used to read "-1" as ULONG_MAX, and std::stoi took "-5" and "5x". The
+# shard count stops at 255, the recorder's one-byte shard field; the
+# machine count runs from 1 to kMaxMachines (2^22).
 foreach(bad "serve;--queue-depth=-1" "serve;--shards=-1" "serve;--shards=256"
             "serve;--max-conns=+5" "serve;--recorder-events=99999999999999999999"
-            "drive;uniform:n=8,m=2;--emit=-;--conns=-1")
+            "drive;uniform:n=8,m=2;--emit=-;--conns=-1"
+            "serve;--budget=-5" "solve;--family=uniform;--budget=5x"
+            "solve;--family=uniform;--budget=abc"
+            "solve;--family=uniform;--machines=0"
+            "solve;--family=uniform;--machines=4194305"
+            "solve;--family=uniform;--jobs=0" "solve;--family=uniform;--seeds=-1"
+            "solve;--family=uniform;--repeat=+2" "generate;uniform;--count=-3")
   list(GET bad 0 command)
   list(SUBLIST bad 1 -1 flags)
   list(GET flags -1 flag)

@@ -416,6 +416,21 @@ TEST(BatchEngine, CacheDisabledSolvesEverything) {
   EXPECT_TRUE(same_results({results[0]}, {results[1]}));
 }
 
+TEST(BatchEngine, RepeatedShapeWithoutAScheduleStaysInvalid) {
+  // `no_huge` does not apply to a huge job, so the race is empty. The
+  // repeat is answered from the first race, which has no schedule for
+  // remap_result to read.
+  const Instance instance = generate(Family::kHugeHeavy, 200, 8, 1);
+  BatchOptions options;
+  options.portfolio.only = {"no_huge"};
+  BatchEngine engine(SolverRegistry::default_registry(), options);
+  const auto results = engine.solve({instance, instance});
+  EXPECT_EQ(engine.stats().solved, 1u);
+  EXPECT_FALSE(results[0].valid);
+  EXPECT_FALSE(results[1].valid);
+  EXPECT_TRUE(results[1].from_cache);
+}
+
 // Acceptance: a 1000-instance mixed batch, solved deterministically with
 // measurable cache hits, every result validated.
 TEST(BatchEngine, ThousandInstanceMixedBatch) {

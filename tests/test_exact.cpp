@@ -4,6 +4,8 @@
 #include "algo/exact.hpp"
 #include "algo/three_halves.hpp"
 #include "core/lower_bounds.hpp"
+#include "sim/generator.hpp"
+#include "sim/spec.hpp"
 #include "sim/workloads.hpp"
 #include "test_support.hpp"
 
@@ -98,6 +100,20 @@ TEST(Exact, NodeLimitReportsNonOptimal) {
   const ExactResult result = exact_makespan(instance, options);
   EXPECT_FALSE(result.optimal);
   EXPECT_GT(result.makespan, 0);
+}
+
+TEST(Exact, TakesTFromTheBoundNotFromAlgorithmThreeHalves) {
+  // Algorithm_3/2 has thrown "ran out of machines" on this instance. The
+  // exact search needs only T, so it must not run the algorithm to read it.
+  const std::optional<GeneratorSpec> spec =
+      parse_spec("lemma9_tight:n=20,m=6,seed=10");
+  ASSERT_TRUE(spec.has_value());
+  const Instance instance = generate(*spec);
+  ExactOptions options;
+  options.node_limit = 1000;
+  ExactResult result;
+  ASSERT_NO_THROW(result = exact_makespan(instance, options));
+  EXPECT_GE(result.makespan, lower_bounds(instance).combined);
 }
 
 }  // namespace

@@ -28,6 +28,8 @@
 #include "serve/service.hpp"
 #include "serve/tcp.hpp"
 #include "serve/transport.hpp"
+#include "sim/generator.hpp"
+#include "sim/spec.hpp"
 #include "sim/workloads.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -574,6 +576,71 @@ TEST(ShapeDifferential, GoldenKeysPinTheCacheKey) {
     engine::CanonicalShape shape;
     engine::canonical_shape(flatten(instance), &shape);
     EXPECT_EQ(shape.key, c.key) << family_name(c.family);
+  }
+}
+
+// ---------------- relabelling metamorphic test ----------------
+
+// Machines and classes carry no labels in the model, so every relabelling
+// of an instance gets one answer: a fresh 1-shard service serves one body
+// in forward and in reverse arrival order, and PortfolioSolver gives one
+// solver, makespan and T, each schedule valid on its own relabelling.
+// Scaling every size by 3 triples the makespan and keeps the solver (T
+// rounds, so it need not triple).
+TEST(RelabelMetamorphic, EveryRelabellingGetsOneAnswerInAnyArrivalOrder) {
+  std::vector<Instance> bases;
+  for (const Family family : kAllFamilies) {
+    bases.push_back(generate(family, 40, 4, 1));
+    bases.push_back(generate(family, 1000, 16, 1));
+  }
+  const std::optional<GeneratorSpec> adv_lpt =
+      parse_spec("adv_lpt:n=200,m=8,seed=1");
+  ASSERT_TRUE(adv_lpt.has_value());
+  bases.push_back(generate(*adv_lpt));
+
+  Rng rng(22);
+  const engine::PortfolioSolver portfolio;
+  for (const Instance& base : bases) {
+    std::vector<Instance> variants;
+    std::vector<std::string> lines;
+    for (int v = 0; v < 8; ++v) {
+      variants.push_back(test::relabel(base, rng));
+      Json line = Json::object();
+      line.set("id", std::int64_t{1});
+      line.set("op", "solve");
+      line.set("instance", to_text(variants.back()));
+      lines.push_back(line.str());
+    }
+    std::vector<std::string> bodies;
+    for (const bool reverse : {false, true}) {
+      serve::ServiceOptions options;
+      options.shards = 1;
+      serve::Service service(options);
+      for (int v = 0; v < 8; ++v)
+        bodies.push_back(service.handle(lines[reverse ? 7 - v : v]));
+    }
+    EXPECT_NE(bodies[0].find("\"ok\":true"), std::string::npos) << bodies[0];
+    for (const std::string& body : bodies)
+      EXPECT_EQ(body, bodies[0]) << base.summary();
+
+    const engine::PortfolioResult first = portfolio.solve(variants[0]);
+    for (const Instance& variant : variants) {
+      const engine::PortfolioResult result = portfolio.solve(variant);
+      EXPECT_EQ(result.solver, first.solver) << base.summary();
+      EXPECT_EQ(result.makespan, first.makespan) << base.summary();
+      EXPECT_EQ(result.t_bound, first.t_bound) << base.summary();
+      EXPECT_TRUE(is_valid(variant, result.schedule)) << base.summary();
+    }
+    std::vector<std::vector<Time>> tripled;
+    for (ClassId c = 0; c < base.num_classes(); ++c) {
+      tripled.emplace_back();
+      for (const JobId j : base.class_jobs(c))
+        tripled.back().push_back(3 * base.size(j));
+    }
+    const engine::PortfolioResult scaled =
+        portfolio.solve(Instance(base.machines(), tripled));
+    EXPECT_EQ(scaled.makespan, 3 * first.makespan) << base.summary();
+    EXPECT_EQ(scaled.solver, first.solver) << base.summary();
   }
 }
 

@@ -104,7 +104,7 @@ TEST(Wire, ResponsesAreSingleLines) {
   result.ratio_vs_bound = 1.25;
   result.valid = true;
   for (const std::string& line :
-       {solve_response(Json(std::int64_t{1}), result),
+       {compose_response(Json(std::int64_t{1}), solve_response_tail(result)),
         error_response(Json(), WireError::kOverloaded, "queue full"),
         ok_response(Json("abc"), "ping"), version_response(Json())}) {
     EXPECT_EQ(line.find('\n'), std::string::npos) << line;
@@ -371,6 +371,47 @@ TEST(Service, BudgetOverrideBypassesCache) {
   EXPECT_NE(service.handle(line).find("\"ok\":true"), std::string::npos);
   EXPECT_EQ(service.stats().solved, 2u);  // solved twice, never cached
   EXPECT_EQ(service.stats().cache_entries, 0u);
+}
+
+TEST(Service, RaceWithoutAValidScheduleIsANamedErrorNeverCached) {
+  // `no_huge` does not apply to an instance with a huge job, so a race
+  // restricted to it has no candidate: a solve (twice, and once as a
+  // `budget_ms` bypass) and a session snapshot each answer `no_schedule`,
+  // never ok:true, and nothing is cached.
+  ServiceOptions options = small_service(1);
+  options.solvers = {"no_huge"};
+  Service service(options);
+  const std::string lines[] = {
+      R"({"id":1,"op":"solve","spec":"huge_heavy:n=200,m=8"})",
+      R"({"id":1,"op":"solve","spec":"huge_heavy:n=200,m=8"})",
+      R"({"id":1,"op":"solve","spec":"huge_heavy:n=200,m=8","budget_ms":50})",
+  };
+  for (const std::string& line : lines) {
+    const std::string response = service.handle(line);
+    EXPECT_NE(response.find("\"error\":\"no_schedule\""), std::string::npos)
+        << response;
+    EXPECT_EQ(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+  EXPECT_EQ(service.stats().solved, 3u);
+  EXPECT_EQ(service.stats().cache_entries, 0u);
+
+  // m = 2 and classes {100}, {1}, {1}: the job of size 100 is huge.
+  (void)service.handle(R"({"op":"open_session","session":"s","machines":2})");
+  for (const char* job :
+       {R"({"op":"submit_job","session":"s","class":"a","size":100})",
+        R"({"op":"submit_job","session":"s","class":"b","size":1})",
+        R"({"op":"submit_job","session":"s","class":"c","size":1})"})
+    EXPECT_NE(service.handle(job).find("\"ok\":true"), std::string::npos);
+  const std::string snapshot =
+      service.handle(R"({"op":"snapshot","session":"s"})");
+  EXPECT_NE(snapshot.find("\"error\":\"no_schedule\""), std::string::npos)
+      << snapshot;
+
+  const std::optional<Json> stats =
+      json_parse(service.handle(R"({"op":"stats"})"));
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->find("errors_by_code")->find("no_schedule")->as_number(),
+            4.0);
 }
 
 TEST(Service, RejectsWhenQueueFullInRejectMode) {

@@ -113,20 +113,23 @@ std::optional<std::string> arg_value(const char* arg, const char* name) {
   return std::nullopt;
 }
 
-// Reads the value of the unsigned flag `--name` into `out`: decimal digits
-// only (a sign is refused: std::stoul reads "-1" as ULONG_MAX), at most
-// `max`. A bad value is named on stderr and fails the parse (exit 2).
+// Reads the value of the integer flag `--name` into `out`: decimal digits
+// only (a sign is refused: std::stoul reads "-1" as ULONG_MAX), no trailing
+// bytes, from `min` to `max`. A bad value is named on stderr and fails the
+// parse (exit 2).
 template <typename T>
 bool read_unsigned(const char* name, const std::string& value, T* out,
+                   std::uint64_t min = 0,
                    std::uint64_t max = std::numeric_limits<T>::max()) {
   std::uint64_t parsed = 0;
   const char* end = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
-  if (ec != std::errc() || ptr != end || parsed > max) {
+  if (ec != std::errc() || ptr != end || parsed < min || parsed > max) {
     std::fprintf(stderr,
-                 "msrs_engine_cli: --%s needs an unsigned integer of at "
-                 "most %llu, got '%s'\n",
-                 name, static_cast<unsigned long long>(max), value.c_str());
+                 "msrs_engine_cli: --%s needs an unsigned integer from %llu "
+                 "to %llu, got '%s'\n",
+                 name, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max), value.c_str());
     return false;
   }
   *out = static_cast<T>(parsed);
@@ -321,28 +324,29 @@ bool parse_flags(int argc, char** argv, int begin, Options* options) {
       if (auto v = arg_value(argv[i], "file")) options->files.push_back(*v);
       else if (auto v2 = arg_value(argv[i], "family")) options->family = *v2;
       else if (auto v3 = arg_value(argv[i], "jobs"))
-        options->jobs = std::stoi(*v3);
+        ok = read_unsigned("jobs", *v3, &options->jobs, 1);
       else if (auto v4 = arg_value(argv[i], "machines"))
-        options->machines = std::stoi(*v4);
+        ok = read_unsigned("machines", *v4, &options->machines, 1,
+                           kMaxMachines);
       else if (auto v5 = arg_value(argv[i], "seeds"))
-        options->seeds = std::stoi(*v5);
+        ok = read_unsigned("seeds", *v5, &options->seeds, 1);
       else if (auto v6 = arg_value(argv[i], "repeat"))
-        options->repeat = std::stoi(*v6);
+        ok = read_unsigned("repeat", *v6, &options->repeat, 1);
       else if (auto v7 = arg_value(argv[i], "budget"))
-        options->budget_ms = std::stoi(*v7);
+        ok = read_unsigned("budget", *v7, &options->budget_ms);
       else if (auto v8 = arg_value(argv[i], "threads"))
         ok = read_unsigned("threads", *v8, &options->threads);
       else if (auto v9 = arg_value(argv[i], "solvers"))
         options->solvers = split_csv(*v9);
       else if (auto v10 = arg_value(argv[i], "count"))
-        options->count = std::stoi(*v10);
+        ok = read_unsigned("count", *v10, &options->count);
       else if (auto v11 = arg_value(argv[i], "out")) options->out = *v11;
       else if (auto v12 = arg_value(argv[i], "cache-capacity"))
         ok = read_unsigned("cache-capacity", *v12, &options->cache_capacity);
       else if (auto v13 = arg_value(argv[i], "socket"))
         options->socket = *v13;
       else if (auto v14 = arg_value(argv[i], "shards"))
-        ok = read_unsigned("shards", *v14, &options->shards,
+        ok = read_unsigned("shards", *v14, &options->shards, 0,
                            serve::kMaxShards);
       else if (auto v15 = arg_value(argv[i], "queue-depth"))
         ok = read_unsigned("queue-depth", *v15, &options->queue_depth);
@@ -415,7 +419,7 @@ bool parse_flags(int argc, char** argv, int begin, Options* options) {
         options->help = true;
       else return false;
     }
-  } catch (const std::exception&) {  // non-numeric value for a numeric flag
+  } catch (const std::exception&) {  // std::stod refused a decimal flag
     return false;
   }
   return ok;
